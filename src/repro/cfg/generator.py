@@ -20,8 +20,12 @@ loop offsets, giving the high intra-region spatial locality of Figure 3.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from functools import partial
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -136,6 +140,63 @@ def _zipf_weights(n: int, s: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+#: Tolerance ``Generator.choice`` allows on the sum of its probabilities.
+_PROBABILITY_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _zipf_cdf(n: int, s: float) -> List[float]:
+    """Zipf(s) over n ranks as the CDF ``Generator.choice`` samples.
+
+    ``rng.choice(n, p=weights)`` normalises ``weights.cumsum()`` by its
+    last element and binary-searches one ``rng.random()`` double per
+    pick (``searchsorted(..., side="right")``).  ``bisect_right`` over
+    this list draws exactly the same picks from the same stream.  The
+    probability checks ``choice`` applies on every call run here, once
+    per distribution.
+    """
+    weights = _zipf_weights(n, s)
+    if (not np.isfinite(weights).all() or (weights < 0).any()
+            or abs(weights.sum() - 1.0) > _PROBABILITY_ATOL):
+        raise ProgramError(
+            f"Zipf({s}) weights over {n} ranks are not a distribution")
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _scalar_draws(bit_generator: np.random.BitGenerator
+                  ) -> Tuple[Callable[[], float], Callable[[int], int]]:
+    """``rng.random()`` and ``int(rng.integers(0, n))``, drawn identically.
+
+    A scalar ``Generator`` call spends most of its time in argument
+    handling, ``integers`` several times more than ``random``.  These
+    two call the bit generator through its ``ctypes`` interface, on the
+    same live state, so they interleave exactly with the ``Generator``
+    methods drawing from it.  ``random`` is ``next_double``.  For
+    ``1 <= n < 2**32``, NumPy bounds with Lemire's multiply-and-reject
+    over ``next_uint32`` (which hands out the two halves of one 64-bit
+    output in turn), and a one-value range draws nothing.  The caller
+    keeps *bit_generator* alive while it uses the returned functions.
+    """
+    interface = bit_generator.ctypes
+    random = partial(interface.next_double, interface.state)
+    next_uint32 = partial(interface.next_uint32, interface.state)
+
+    def below(n: int) -> int:
+        if n == 1:
+            return 0
+        product = next_uint32() * n
+        leftover = product & 0xFFFFFFFF
+        if leftover < n:
+            threshold = (0x100000000 - n) % n
+            while leftover < threshold:
+                product = next_uint32() * n
+                leftover = product & 0xFFFFFFFF
+        return product >> 32
+
+    return random, below
+
+
 def _layer_sizes(params: GeneratorParams) -> List[int]:
     """Split functions across layers: roots, app layers, kernel."""
     kernel = max(2, int(round(params.n_functions * params.kernel_fraction)))
@@ -149,167 +210,217 @@ def _layer_sizes(params: GeneratorParams) -> List[int]:
     raw = np.linspace(1.0, 2.0, mid_layers)
     sizes = np.maximum(1, np.floor(raw / raw.sum() * remaining)).astype(int)
     sizes[-1] += remaining - sizes.sum()
-    return [roots] + list(sizes) + [kernel]
+    return [roots] + [int(size) for size in sizes] + [kernel]
 
 
-def _draw_block_count(rng: np.random.Generator,
-                      params: GeneratorParams) -> int:
-    mu = np.log(params.median_blocks)
-    count = int(round(float(rng.lognormal(mu, params.sigma_blocks))))
-    return int(np.clip(count, 2, 64))
+# Enum members bound once: reading a member off its class is a slow
+# attribute lookup, and the hot loops would pay it per block.
+_CALL, _TRAP, _JUMP, _COND = (BranchKind.CALL, BranchKind.TRAP,
+                              BranchKind.JUMP, BranchKind.COND)
+_RET, _TRAP_RET = BranchKind.RET, BranchKind.TRAP_RET
+_BIASED, _LOOP, _ALTERNATE = (CondBehavior.BIASED, CondBehavior.LOOP,
+                              CondBehavior.ALTERNATE)
+
+#: A call or trap site awaiting its callees' final fids:
+#: ``(block index, ninstr, kind, callees in generation order)``.
+_CallSite = Tuple[int, int, BranchKind, Tuple[int, ...]]
 
 
-def _draw_ninstr(rng: np.random.Generator, params: GeneratorParams) -> int:
-    # Geometric-ish block length with the requested mean, clipped so the
-    # 5-bit BTB size field can encode it.
-    ninstr = 2 + rng.poisson(max(0.1, params.mean_block_instrs - 2))
-    return int(np.clip(ninstr, 2, 15))
+class _FunctionDrafter:
+    """Draws the functions of one program from one RNG stream.
 
+    The order of draws *is* the output: every program, trace and cached
+    result depends on it, and ``tests/test_program_fingerprints.py``
+    pins it.  Per-program state lives here — bound RNG methods,
+    constants hoisted from the params, the Zipf CDF of each cluster
+    size, and the interned immutable blocks — so nothing outlives one
+    :func:`generate_program` call.
 
-def _pick_cond(rng: np.random.Generator, params: GeneratorParams,
-               idx: int, nblocks: int,
-               built: List[BasicBlock]) -> BasicBlock:
-    """Build a conditional block at position *idx* of *nblocks*.
-
-    Loop back-edges never span a call or trap block: a loop body that
-    re-descends a call subtree on every iteration would concentrate
-    dynamic execution into a handful of leaf functions, which is neither
-    realistic nor compatible with the paper's wide instruction working
-    sets (loop bodies in server code are small; the deep call chains
-    happen per-request, not per-iteration).
+    Layers are contiguous fid ranges (``starts[layer]``, ``sizes[layer]``),
+    so a callee pool is a ``(start, size)`` pair rather than a list.
     """
-    ninstr = _draw_ninstr(rng, params)
-    roll = rng.random()
-    if roll < params.loop_fraction and idx > 0:
-        # Largest backward span ending at this block that crosses neither
-        # a call/trap (see above) nor another loop branch — nested
-        # same-function loops would multiply trip counts (6^k dynamic
-        # iterations for k nested levels) and trap the whole trace window
-        # inside one function.
-        span = 0
-        while span < 4 and idx - 1 - span >= 0:
-            previous = built[idx - 1 - span]
-            if previous.kind in (BranchKind.CALL, BranchKind.TRAP):
-                break
-            if (previous.kind == BranchKind.COND
-                    and previous.behavior == CondBehavior.LOOP):
-                break
-            span += 1
-        if span > 0:
-            target = idx - 1 - int(rng.integers(0, span))
-            trips = max(2.0, rng.exponential(params.mean_loop_trips))
-            return BasicBlock(ninstr=ninstr, kind=BranchKind.COND,
-                              taken_succ=target,
-                              behavior=CondBehavior.LOOP,
-                              behavior_param=float(trips))
-    if roll < params.loop_fraction + params.alternate_fraction:
-        target = min(nblocks - 1, idx + 1 + int(rng.integers(0, 3)))
-        return BasicBlock(ninstr=ninstr, kind=BranchKind.COND,
-                          taken_succ=target,
-                          behavior=CondBehavior.ALTERNATE,
-                          behavior_param=0.5)
-    # Forward short-offset biased branch (if/else, error checks).
-    target = min(nblocks - 1, idx + 1 + int(rng.integers(0, 4)))
-    if rng.random() < params.hot_bias_fraction:
-        bias = params.hot_bias if rng.random() < 0.5 else 1 - params.hot_bias
-    else:
-        bias = float(rng.uniform(0.3, 0.7))
-    return BasicBlock(ninstr=ninstr, kind=BranchKind.COND,
-                      taken_succ=target, behavior=CondBehavior.BIASED,
-                      behavior_param=bias)
 
+    def __init__(self, rng: np.random.Generator, params: GeneratorParams,
+                 starts: List[int], sizes: List[int]) -> None:
+        self.rng = rng
+        self.random, self.below = _scalar_draws(rng.bit_generator)
+        self.poisson = rng.poisson
+        self.lognormal = rng.lognormal
+        self.exponential = rng.exponential
+        self.uniform = rng.uniform
+        self.params = params
+        self.starts = starts
+        self.sizes = sizes
+        self.kernel_start = starts[-1]
+        self.kernel_end = starts[-1] + sizes[-1]
+        self.last_app_layer = len(sizes) - 2
+        self.log_median_blocks = math.log(params.median_blocks)
+        # Block lengths are 2 + Poisson(extra_instrs) instructions,
+        # clipped to 15 so the 5-bit BTB size field can encode them.
+        self.extra_instrs = max(0.1, params.mean_block_instrs - 2)
+        self.alternate_cut = params.loop_fraction + params.alternate_fraction
+        self.cold_bias = 1 - params.hot_bias
+        self._cdfs: Dict[int, List[float]] = {}
+        self._blocks: Dict[tuple, BasicBlock] = {}
 
-def _pick_callees(rng: np.random.Generator, params: GeneratorParams,
-                  target_pool: Sequence[int], cluster_base: int,
-                  indirect: bool) -> Tuple[int, ...]:
-    """Choose callee fid(s) from a deeper-layer pool with clustering."""
-    pool_size = len(target_pool)
-    cluster = max(1, int(pool_size * params.cluster_fraction))
-    weights = _zipf_weights(cluster, params.zipf_callee)
-    count = params.indirect_fanout if indirect else 1
-    picks = rng.choice(cluster, size=count, p=weights)
-    fids = tuple(
-        int(target_pool[(cluster_base + int(p)) % pool_size]) for p in picks
-    )
-    # Deduplicate while preserving order; an indirect site may legitimately
-    # collapse to fewer distinct targets.
-    seen: List[int] = []
-    for fid in fids:
-        if fid not in seen:
-            seen.append(fid)
-    return tuple(seen)
+    def block(self, ninstr: int, kind: BranchKind, taken_succ: int = -1,
+              callees: Tuple[int, ...] = (),
+              behavior: CondBehavior = _BIASED,
+              param: float = 0.5) -> BasicBlock:
+        """The (interned) block with these fields.
 
+        Blocks are frozen values and most repeat — a short forward
+        biased branch or a return of a given length recurs thousands of
+        times — so one validated instance serves every equal block.
+        """
+        key = (ninstr, kind, taken_succ, callees, behavior, param)
+        block = self._blocks.get(key)
+        if block is None:
+            block = self._blocks[key] = BasicBlock(
+                ninstr=ninstr, kind=kind, taken_succ=taken_succ,
+                callees=callees, behavior=behavior, behavior_param=param)
+        return block
 
-def _pick_call_pool(rng: np.random.Generator, params: GeneratorParams,
-                    layer: int, layer_pools: List[List[int]],
-                    fid: int, is_kernel: bool) -> List[int]:
-    """Candidate-callee pool for one call site.
+    def function(self, fid: int, layer: int, is_kernel: bool
+                 ) -> Tuple[List[Optional[BasicBlock]], List[_CallSite]]:
+        """Draw one function's blocks.
 
-    Application calls target the next layer with probability
-    ``layer_skip_decay``, skipping deeper with geometric decay, and never
-    enter the kernel layer directly.  Kernel calls target higher-fid
-    kernel helpers (acyclic sideways calls).
-    """
-    if is_kernel:
-        return [other for other in layer_pools[-1] if other > fid]
-    last_app_layer = len(layer_pools) - 2
-    if layer >= last_app_layer:
-        return []
-    skip = 0
-    while (rng.random() > params.layer_skip_decay
-           and layer + 1 + skip < last_app_layer):
-        skip += 1
-    return layer_pools[layer + 1 + skip]
+        Returns the block list with ``None`` at every call and trap
+        site, and those sites with their callees still in generation
+        fids: the caller builds them once the layout order is drawn.
+        """
+        params = self.params
+        random = self.random
+        poisson = self.poisson
+        below = self.below
+        extra_instrs = self.extra_instrs
+        count = int(round(self.lognormal(self.log_median_blocks,
+                                         params.sigma_blocks)))
+        nblocks = min(max(count, 2), 64)
+        call_cut = params.call_fraction
+        if is_kernel:
+            call_cut *= params.kernel_call_scale
+        jump_cut = call_cut + params.jump_fraction
+        trap_cut = jump_cut + params.trap_fraction
+        # Kernel code never traps; everything else may enter the kernel.
+        kernel_size = 0 if is_kernel else self.sizes[-1]
 
-
-def _build_function(rng: np.random.Generator, params: GeneratorParams,
-                    fid: int, layer: int, layer_pools: List[List[int]],
-                    is_kernel: bool) -> Function:
-    nblocks = _draw_block_count(rng, params)
-    blocks: List[BasicBlock] = []
-    n_layers = len(layer_pools)
-    call_fraction = params.call_fraction
-    if is_kernel:
-        call_fraction *= params.kernel_call_scale
-    kind_roll_calls = call_fraction
-    kind_roll_jumps = kind_roll_calls + params.jump_fraction
-    kind_roll_traps = kind_roll_jumps + params.trap_fraction
-
-    for idx in range(nblocks - 1):
-        roll = rng.random()
-        ninstr = _draw_ninstr(rng, params)
-        can_trap = layer < n_layers - 1 and bool(layer_pools[-1])
-        if roll < kind_roll_calls:
-            pool = _pick_call_pool(rng, params, layer, layer_pools, fid,
-                                   is_kernel)
-            if pool:
-                cluster_base = int(rng.integers(0, len(pool)))
-                callees = _pick_callees(
-                    rng, params, pool, cluster_base,
-                    indirect=rng.random() < params.indirect_fraction,
-                )
-                blocks.append(BasicBlock(ninstr=ninstr,
-                                         kind=BranchKind.CALL,
-                                         callees=callees))
+        blocks: List[Optional[BasicBlock]] = []
+        sites: List[_CallSite] = []
+        # Loop back-edges stop at the last call, trap or loop block.
+        last_barrier = -1
+        for idx in range(nblocks - 1):
+            roll = random()
+            ninstr = min(2 + poisson(extra_instrs), 15)
+            if roll < call_cut:
+                start, size = self._call_pool(layer, fid, is_kernel)
+                if size:
+                    cluster_base = below(size)
+                    fanout = params.indirect_fanout \
+                        if random() < params.indirect_fraction else 1
+                    sites.append((idx, ninstr, _CALL,
+                                  self._callees(start, size, cluster_base,
+                                                fanout)))
+                    blocks.append(None)
+                    last_barrier = idx
+                    continue
+            elif roll < jump_cut:
+                target = min(nblocks - 1, idx + 1 + below(6))
+                blocks.append(self.block(ninstr, _JUMP, target))
                 continue
-            blocks.append(_pick_cond(rng, params, idx, nblocks, blocks))
-        elif roll < kind_roll_jumps:
-            target = min(nblocks - 1, idx + 1 + int(rng.integers(0, 6)))
-            blocks.append(BasicBlock(ninstr=ninstr, kind=BranchKind.JUMP,
-                                     taken_succ=target))
-        elif roll < kind_roll_traps and can_trap and not is_kernel:
-            kernel_pool = layer_pools[-1]
-            cluster_base = int(rng.integers(0, len(kernel_pool)))
-            callees = _pick_callees(rng, params, kernel_pool, cluster_base,
-                                    indirect=False)
-            blocks.append(BasicBlock(ninstr=ninstr, kind=BranchKind.TRAP,
-                                     callees=callees))
+            elif roll < trap_cut and kernel_size:
+                cluster_base = below(kernel_size)
+                sites.append((idx, ninstr, _TRAP,
+                              self._callees(self.kernel_start, kernel_size,
+                                            cluster_base, 1)))
+                blocks.append(None)
+                last_barrier = idx
+                continue
+            # The drawn ninstr is discarded: a conditional draws its own.
+            block = self._cond(idx, nblocks, last_barrier)
+            if block.behavior is _LOOP:
+                last_barrier = idx
+            blocks.append(block)
+        terminator = _TRAP_RET if is_kernel else _RET
+        blocks.append(self.block(min(2 + poisson(extra_instrs), 15),
+                                 terminator))
+        return blocks, sites
+
+    def _cond(self, idx: int, nblocks: int, last_barrier: int) -> BasicBlock:
+        """A conditional block at position *idx* of *nblocks*.
+
+        Loop back-edges never span a call or trap block: a loop body that
+        re-descends a call subtree on every iteration would concentrate
+        dynamic execution into a handful of leaf functions, which is
+        neither realistic nor compatible with the paper's wide
+        instruction working sets (loop bodies in server code are small;
+        the deep call chains happen per-request, not per-iteration).
+        Nor do they span another loop branch: nested same-function loops
+        would multiply trip counts (6^k dynamic iterations for k nested
+        levels) and trap the whole trace window inside one function.
+        """
+        params = self.params
+        random = self.random
+        ninstr = min(2 + self.poisson(self.extra_instrs), 15)
+        roll = random()
+        if roll < params.loop_fraction:
+            # Largest backward span ending here, at most 4 blocks.
+            span = min(4, idx - 1 - last_barrier)
+            if span > 0:
+                target = idx - 1 - self.below(span)
+                trips = max(2.0, self.exponential(params.mean_loop_trips))
+                return self.block(ninstr, _COND, target, (),
+                                  _LOOP, float(trips))
+        if roll < self.alternate_cut:
+            target = min(nblocks - 1, idx + 1 + self.below(3))
+            return self.block(ninstr, _COND, target, (), _ALTERNATE, 0.5)
+        # Forward short-offset biased branch (if/else, error checks).
+        target = min(nblocks - 1, idx + 1 + self.below(4))
+        if random() < params.hot_bias_fraction:
+            bias = params.hot_bias if random() < 0.5 else self.cold_bias
         else:
-            blocks.append(_pick_cond(rng, params, idx, nblocks, blocks))
-    terminator = BranchKind.TRAP_RET if is_kernel else BranchKind.RET
-    blocks.append(BasicBlock(ninstr=_draw_ninstr(rng, params),
-                             kind=terminator))
-    return Function(fid=fid, blocks=blocks, is_kernel=is_kernel)
+            bias = float(self.uniform(0.3, 0.7))
+        return self.block(ninstr, _COND, target, (), _BIASED, bias)
+
+    def _call_pool(self, layer: int, fid: int,
+                   is_kernel: bool) -> Tuple[int, int]:
+        """Candidate-callee pool ``(first fid, size)`` for one call site.
+
+        Application calls target the next layer with probability
+        ``layer_skip_decay``, skipping deeper with geometric decay, and
+        never enter the kernel layer directly.  Kernel calls target
+        higher-fid kernel helpers (acyclic sideways calls).
+        """
+        if is_kernel:
+            return fid + 1, self.kernel_end - fid - 1
+        last_app_layer = self.last_app_layer
+        if layer >= last_app_layer:
+            return 0, 0
+        random = self.random
+        decay = self.params.layer_skip_decay
+        skip = 0
+        while random() > decay and layer + 1 + skip < last_app_layer:
+            skip += 1
+        target = layer + 1 + skip
+        return self.starts[target], self.sizes[target]
+
+    def _callees(self, start: int, size: int, cluster_base: int,
+                 count: int) -> Tuple[int, ...]:
+        """Choose *count* callee fids from a pool, with clustering.
+
+        Draws are ``rng.choice(cluster, size=count, p=zipf)``'s, from the
+        cached CDF.  An indirect site may collapse to fewer distinct
+        targets; order of first pick is kept.
+        """
+        cluster = max(1, int(size * self.params.cluster_fraction))
+        cdf = self._cdfs.get(cluster)
+        if cdf is None:
+            cdf = self._cdfs[cluster] = _zipf_cdf(cluster,
+                                                  self.params.zipf_callee)
+        random = self.random
+        picks = [start + (cluster_base + bisect_right(cdf, random())) % size
+                 for _ in range(count)]
+        return tuple(dict.fromkeys(picks))
 
 
 def generate_program(params: GeneratorParams) -> GeneratedProgram:
@@ -319,48 +430,35 @@ def generate_program(params: GeneratorParams) -> GeneratedProgram:
     """
     rng = np.random.default_rng(params.seed)
     sizes = _layer_sizes(params)
-
-    # Assign dense fids layer by layer so the Program invariant holds.
-    layer_pools: List[List[int]] = []
-    next_fid = 0
-    for size in sizes:
-        layer_pools.append(list(range(next_fid, next_fid + size)))
-        next_fid += size
-
-    functions: List[Function] = []
-    for layer, pool in enumerate(layer_pools):
-        is_kernel = layer == len(layer_pools) - 1
-        for fid in pool:
-            functions.append(
-                _build_function(rng, params, fid, layer, layer_pools,
-                                is_kernel)
-            )
+    # Dense fids, layer by layer: layer k holds fids
+    # starts[k] .. starts[k] + sizes[k] - 1.
+    starts = list(accumulate(sizes[:-1], initial=0))
+    drafter = _FunctionDrafter(rng, params, starts, sizes)
+    kernel_layer = len(sizes) - 1
+    drafts = [
+        drafter.function(fid, layer, layer == kernel_layer)
+        for layer, (start, size) in enumerate(zip(starts, sizes))
+        for fid in range(start, start + size)
+    ]
 
     # Shuffle the *layout order* (not the fids) so that functions that call
     # each other are not artificially adjacent in the address space.
-    order = rng.permutation(len(functions))
-    laid_out = [functions[i] for i in order]
-    relabel = {f.fid: i for i, f in enumerate(laid_out)}
-    rebuilt: List[Function] = []
-    for new_fid, function in enumerate(laid_out):
-        new_blocks: List[BasicBlock] = []
-        for block in function.blocks:
-            if block.callees:
-                new_callees = tuple(relabel[c] for c in block.callees)
-                new_blocks.append(BasicBlock(
-                    ninstr=block.ninstr, kind=block.kind,
-                    taken_succ=block.taken_succ, callees=new_callees,
-                    behavior=block.behavior,
-                    behavior_param=block.behavior_param,
-                ))
-            else:
-                new_blocks.append(block)
-        rebuilt.append(Function(fid=new_fid, blocks=new_blocks,
-                                is_kernel=function.is_kernel))
+    order = rng.permutation(len(drafts)).tolist()
+    relabel = [0] * len(order)
+    for new_fid, fid in enumerate(order):
+        relabel[fid] = new_fid
+    functions: List[Function] = []
+    for new_fid, fid in enumerate(order):
+        blocks, sites = drafts[fid]
+        for idx, ninstr, kind, callees in sites:
+            blocks[idx] = drafter.block(
+                ninstr, kind, callees=tuple(relabel[c] for c in callees))
+        functions.append(Function(fid=new_fid, blocks=blocks,
+                                  is_kernel=fid >= drafter.kernel_start))
 
-    program = Program(rebuilt, seed=params.seed)
-    roots = [relabel[f] for f in layer_pools[0]]
-    kernel_fids = [relabel[f] for f in layer_pools[-1]]
+    program = Program(functions, seed=params.seed)
+    roots = relabel[:sizes[0]]
+    kernel_fids = relabel[drafter.kernel_start:]
     return GeneratedProgram(
         program=program,
         roots=roots,

@@ -23,6 +23,13 @@ from repro.isa import (
 )
 
 
+#: Kinds whose static target is a block of the same function, and kinds
+#: whose static target is a callee's entry.  (Set lookups: reading an
+#: enum member off its class costs more than the rest of a block check.)
+_LOCAL_TARGET_KINDS = frozenset((BranchKind.COND, BranchKind.JUMP))
+_CALLEE_TARGET_KINDS = frozenset((BranchKind.CALL, BranchKind.TRAP))
+
+
 class CondBehavior(enum.IntEnum):
     """Outcome model of a conditional branch.
 
@@ -66,9 +73,9 @@ class BasicBlock:
             raise ProgramError(
                 f"block ninstr must be in [1, 31], got {self.ninstr}"
             )
-        if self.kind in (BranchKind.CALL, BranchKind.TRAP) and not self.callees:
+        if self.kind in _CALLEE_TARGET_KINDS and not self.callees:
             raise ProgramError(f"{self.kind.name} block needs callees")
-        if self.kind in (BranchKind.COND, BranchKind.JUMP) and self.taken_succ < 0:
+        if self.kind in _LOCAL_TARGET_KINDS and self.taken_succ < 0:
             raise ProgramError(f"{self.kind.name} block needs taken_succ")
 
 
@@ -96,9 +103,10 @@ class Function:
                 f"function {self.fid} must end with {expected.name}, "
                 f"ends with {terminator.name}"
             )
+        nblocks = len(self.blocks)
         for idx, block in enumerate(self.blocks):
-            if block.kind in (BranchKind.COND, BranchKind.JUMP):
-                if not 0 <= block.taken_succ < len(self.blocks):
+            if block.kind in _LOCAL_TARGET_KINDS:
+                if not 0 <= block.taken_succ < nblocks:
                     raise ProgramError(
                         f"function {self.fid} block {idx}: taken_succ "
                         f"{block.taken_succ} out of range"
@@ -209,9 +217,9 @@ class Program:
 
     def _resolve_target(self, function: Function, bidx: int,
                         block: BasicBlock) -> int:
-        if block.kind in (BranchKind.COND, BranchKind.JUMP):
+        if block.kind in _LOCAL_TARGET_KINDS:
             return function.block_addr(block.taken_succ)
-        if block.kind in (BranchKind.CALL, BranchKind.TRAP):
+        if block.kind in _CALLEE_TARGET_KINDS:
             # Image records the first candidate; indirect call sites may
             # go elsewhere dynamically (the BTB then mispredicts).
             return self.functions[block.callees[0]].base_addr
@@ -222,15 +230,37 @@ class Program:
     def image(self) -> Dict[int, List[StaticBranch]]:
         """Cache-line index -> static branches in that line (lazy)."""
         if self._image is None:
-            image: Dict[int, List[StaticBranch]] = {}
-            for function in self.functions:
-                for bidx, block in enumerate(function.blocks):
-                    descriptor = self.static_branch(function.fid, bidx)
-                    image.setdefault(
-                        descriptor.branch_pc >> BLOCK_SHIFT, []
-                    ).append(descriptor)
-            self._image = image
+            self._image = self._build_image()
         return self._image
+
+    def _build_image(self) -> Dict[int, List[StaticBranch]]:
+        """One pass over the laid-out block addresses.
+
+        Each descriptor equals ``static_branch(fid, bidx)``; the targets
+        resolve as :meth:`_resolve_target` resolves them, read straight
+        from the layout instead of through a lookup per block.
+        """
+        bases = [function.base_addr for function in self.functions]
+        image: Dict[int, List[StaticBranch]] = {}
+        for function in self.functions:
+            addrs = function._block_addrs
+            for block, block_pc in zip(function.blocks, addrs):
+                kind = block.kind
+                if kind in _LOCAL_TARGET_KINDS:
+                    target = addrs[block.taken_succ]
+                elif kind in _CALLEE_TARGET_KINDS:
+                    target = bases[block.callees[0]]
+                else:
+                    target = 0
+                ninstr = block.ninstr
+                descriptor = StaticBranch(block_pc, ninstr, kind, target)
+                line = (block_pc + (ninstr - 1) * INSTR_BYTES) >> BLOCK_SHIFT
+                branches = image.get(line)
+                if branches is None:
+                    image[line] = [descriptor]
+                else:
+                    branches.append(descriptor)
+        return image
 
     def unconditional_count(self) -> int:
         """Number of static unconditional branches (U-BTB + RIB residents)."""

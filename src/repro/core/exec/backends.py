@@ -64,7 +64,9 @@ def _run_unit(specs: Sequence[Any], use_cache: bool) -> UnitResult:
     run_spec` gives the executing context warm program/trace caches
     across the unit's cells and persists each simulated result to the
     shared disk cache immediately — a unit interrupted halfway loses
-    only the cell in flight.
+    only the cell in flight.  Every cell arrives already probed against
+    the disk cache (see :meth:`Backend.execute`), so it is not probed
+    again.
 
     In a process-pool worker the unit's span records are drained and
     shipped home with the results (the parent adopts them under its
@@ -76,7 +78,7 @@ def _run_unit(specs: Sequence[Any], use_cache: bool) -> UnitResult:
     in_worker = tracing.in_worker()
     before = metrics.snapshot() if in_worker else None
     with tracing.span("unit", cells=len(specs)):
-        pairs = [(spec, run_spec(spec, use_cache=use_cache))
+        pairs = [(spec, run_spec(spec, use_cache=use_cache, probed=True))
                  for spec in specs]
     if not in_worker:
         return pairs, [], {}
@@ -98,8 +100,10 @@ def _process_worker_init(profiles) -> None:
     register at import time — user registrations and ``replace=True``
     overrides made in the parent would be missing or stale.  The parent
     ships its full registry and the worker re-registers every entry.
-    Under ``fork`` the worker inherits the registry anyway and this is
-    a harmless no-op re-registration.
+    Under ``fork`` the worker inherits the registry and its caches;
+    re-registering an equal profile is a no-op, so the worker keeps the
+    programs, traces and results it inherited instead of regenerating
+    them.
     """
     from repro.core.exec import faults
     from repro.workloads.profiles import register_profile
@@ -159,7 +163,13 @@ class Backend:
 
     def execute(self, units: Sequence[WorkUnit],
                 use_cache: bool = True) -> Iterator[CellResult]:
-        """Yield every unit's ``(spec, result)`` pairs as they complete."""
+        """Yield every unit's ``(spec, result)`` pairs as they complete.
+
+        The dispatcher has probed the disk cache for every cell and
+        missed — :func:`repro.core.sweep.run_specs` before dispatch, the
+        supervisor before a retry — so execution does not probe again
+        and each miss is counted once, whatever the backend.
+        """
         raise NotImplementedError
 
 
@@ -172,13 +182,20 @@ class SerialBackend(Backend):
 
     name = "serial"
 
+    def __init__(self, max_workers: int = 1) -> None:
+        # One cell runs at a time whatever pool size was asked for, so
+        # report (and chunk for) the one slot.
+        super().__init__(max_workers)
+        self.max_workers = 1
+
     def execute(self, units: Sequence[WorkUnit],
                 use_cache: bool = True) -> Iterator[CellResult]:
         from repro.core.sweep import run_spec
         for unit in units:
             with tracing.span("unit", cells=len(unit.specs)):
                 for spec in unit.specs:
-                    yield spec, run_spec(spec, use_cache=use_cache)
+                    yield spec, run_spec(spec, use_cache=use_cache,
+                                         probed=True)
 
 
 class _PoolBackend(Backend):
@@ -277,8 +294,8 @@ def get_backend(backend, max_workers: int = 1) -> Backend:
             f"unknown execution backend {backend!r}; choose from "
             f"{sorted(BACKENDS)}"
         ) from None
-    if max_workers <= 1 and name in ("thread", "process"):
-        return SerialBackend(max_workers=1)
+    if max_workers <= 1:
+        return SerialBackend()
     return factory(max_workers=max_workers)
 
 

@@ -198,11 +198,14 @@ def simulation_meter() -> Iterator[SimulationMeter]:
     yield SimulationMeter()
 
 
-def run_spec(spec: RunSpec, use_cache: bool = True) -> SimulationResult:
+def run_spec(spec: RunSpec, use_cache: bool = True,
+             probed: bool = False) -> SimulationResult:
     """Simulate one canonical cell (the primitive everything builds on).
 
     With ``use_cache`` the in-process memo is consulted first, then the
     persistent disk cache; a simulated result is written back to both.
+    ``probed`` says the caller has just probed the disk cache for this
+    cell and missed, so it is not probed (or counted) a second time.
     """
     spec = spec.canonical()
     if use_cache and spec in _RESULT_CACHE:
@@ -211,7 +214,7 @@ def run_spec(spec: RunSpec, use_cache: bool = True) -> SimulationResult:
     disk_key = None
     if use_cache and diskcache.enabled():
         disk_key = diskcache.spec_key(spec)
-        cached = diskcache.load(disk_key)
+        cached = None if probed else diskcache.load(disk_key)
         if cached is not None:
             # repro: allow[RPR004] -- GIL-atomic write of an idempotent memo
             _RESULT_CACHE[spec] = cached

@@ -105,12 +105,19 @@ def register_profile(profile: WorkloadProfile,
     sweeps such as the ``frontier`` experiment).  Re-registering an
     existing name requires ``replace=True`` and evicts the name's
     memoised program/trace artefacts, so the next build reflects the new
-    parameters.  Returns the registered profile for chaining.
+    parameters.  Re-registering a profile equal to the registered one is
+    a no-op that keeps those artefacts: process-pool workers mirror the
+    parent's registry this way, and a fork-started worker must keep the
+    programs and traces it inherited.  Returns the registered profile
+    for chaining.
     """
     key = profile.name.lower()
     if key != profile.name:
         profile = _dc_replace(profile, name=key)
-    if key in _PROFILES and not replace:
+    current = _PROFILES.get(key)
+    if current is not None and current == profile:
+        return current
+    if current is not None and not replace:
         raise ConfigError(
             f"workload {key!r} is already registered; pass replace=True "
             "to override it"

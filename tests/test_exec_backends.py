@@ -4,7 +4,9 @@ progress, interrupt/resume, and the no-executor-when-cached guarantee."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -442,3 +444,41 @@ class TestFullyCachedRunsNeverSchedule:
             results = run_specs(specs, backend=backend)
             assert len(results) == len(specs)
         clear_result_cache()
+
+
+def _memoised_artefact_ids(name, n_blocks):
+    """Worker side: ids of the memoised program and trace (None if absent).
+
+    Reads the caches without building anything, so an evicted entry
+    shows as None rather than as a freshly regenerated object.
+    """
+    from repro.workloads import profiles
+    seed = profiles.get_profile(name).trace_seed
+    program = profiles._PROGRAM_CACHE.get(name)
+    trace = profiles._TRACE_CACHE.get((name, n_blocks, seed))
+    return (None if program is None else id(program),
+            None if trace is None else id(trace))
+
+
+class TestForkWorkersKeepInheritedCaches:
+    """The pool initializer mirrors the parent's registry into each
+    worker; for a fork-started worker every profile is equal to the one
+    it inherited, so the mirror must keep the inherited artefacts."""
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method")
+    def test_fork_worker_keeps_inherited_program_and_trace(self):
+        from repro.core.exec.backends import _process_worker_init
+        from repro.workloads.profiles import build_program, build_trace, \
+            iter_profiles
+        program = build_program("nutch")
+        trace = build_trace("nutch", 400)
+        with ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_process_worker_init,
+                initargs=(iter_profiles(),)) as pool:
+            ids = pool.submit(_memoised_artefact_ids, "nutch",
+                              400).result(timeout=120)
+        assert ids == (id(program), id(trace))

@@ -1,9 +1,12 @@
 """Unit tests for the synthetic server-program generator."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
-from repro.cfg.generator import GeneratorParams, generate_program
+from repro.cfg.generator import GeneratorParams, _scalar_draws, \
+    _zipf_cdf, _zipf_weights, generate_program
 from repro.cfg.model import CondBehavior
 from repro.errors import ProgramError
 from repro.isa import BranchKind
@@ -133,3 +136,41 @@ class TestGenerateProgram:
                 if (block.kind == BranchKind.COND
                         and block.behavior == CondBehavior.BIASED):
                     assert 0.0 < block.behavior_param < 1.0
+
+
+class TestDrawShortcuts:
+    """The generator's fast draws take exactly the values, from the same
+    stream, as the NumPy calls they stand in for — the reference here —
+    including when other draws interleave with them."""
+
+    #: Small ranges as the generator uses them, a one-value range (which
+    #: draws nothing), and large ranges whose rejection step is common.
+    RANGES = (1, 2, 3, 4, 6, 17, 64, 3 << 30, (1 << 31) + 1,
+              (1 << 32) - 1)
+
+    def test_scalar_draws_match_generator_calls(self):
+        reference = np.random.default_rng(11)
+        fast = np.random.default_rng(11)
+        random, below = _scalar_draws(fast.bit_generator)
+        for step in range(3000):
+            n = self.RANGES[step % len(self.RANGES)]
+            assert below(n) == int(reference.integers(0, n)), (step, n)
+            if step % 3 == 0:
+                assert random() == reference.random()
+            if step % 7 == 0:
+                assert fast.poisson(3.5) == reference.poisson(3.5)
+        assert fast.random() == reference.random()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 150])
+    def test_zipf_cdf_matches_choice(self, n):
+        reference = np.random.default_rng(5)
+        fast = np.random.default_rng(5)
+        cdf = _zipf_cdf(n, 0.8)
+        expected = reference.choice(n, size=400, p=_zipf_weights(n, 0.8))
+        assert [bisect_right(cdf, fast.random()) for _ in range(400)] \
+            == expected.tolist()
+        assert fast.random() == reference.random()
+
+    def test_zipf_cdf_rejects_a_non_distribution(self):
+        with pytest.raises(ProgramError):
+            _zipf_cdf(4, float("nan"))

@@ -105,6 +105,17 @@ class TestStatsCommand:
         out = capsys.readouterr().out
         assert "2 total = 2 simulated + 0 cached + 0 quarantined" in out
 
+    def test_serial_backend_renders_one_worker(self, tmp_path, monkeypatch,
+                                               capsys):
+        _fresh(tmp_path, monkeypatch)
+        args = ["sweep", "--workloads", "nutch", "--schemes",
+                "baseline,ideal", "--blocks", "2000", "--backend", "serial",
+                "--max-workers", "2"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(["stats"]) == 0
+        assert "  backend:  serial x1\n" in capsys.readouterr().out
+
     def test_json_round_trips(self, tmp_path, monkeypatch, capsys):
         _fresh(tmp_path, monkeypatch)
         assert main(_sweep_args()) == 0

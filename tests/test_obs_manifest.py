@@ -43,6 +43,11 @@ def _counts(delta):
     }
 
 
+def _cache_probes(delta):
+    counters = delta.get("counters", {})
+    return counters.get("cache.hits", 0), counters.get("cache.misses", 0)
+
+
 def _run_with_delta(**kwargs):
     before = metrics.snapshot()
     results = run_specs(CELLS, **kwargs)
@@ -52,7 +57,8 @@ def _run_with_delta(**kwargs):
 class TestReconciliation:
     """simulated + cached + quarantined == total cells, every backend,
     cold and warm cache — the manifest invariant, from independently
-    incremented counters."""
+    incremented counters.  Each cell's disk-cache probe counts once, so
+    hits + misses == cells probed, the same on every backend."""
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_cold_then_warm(self, backend, tmp_path, monkeypatch):
@@ -65,6 +71,7 @@ class TestReconciliation:
         assert counts["cached"] == 0
         assert counts["simulated"] + counts["cached"] \
             + counts["quarantined"] == counts["cells"]
+        assert _cache_probes(cold) == (0, len(CELLS))
 
         clear_result_cache()  # drop the memo; disk cache stays warm
         results, warm = _run_with_delta(backend=backend, max_workers=2)
@@ -75,6 +82,7 @@ class TestReconciliation:
         assert counts["cached"] == len(CELLS)
         assert counts["simulated"] + counts["cached"] \
             + counts["quarantined"] == counts["cells"]
+        assert _cache_probes(warm) == (len(CELLS), 0)
 
     def test_process_ships_store_counters_home(self, tmp_path,
                                                monkeypatch):
