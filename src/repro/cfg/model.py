@@ -207,24 +207,11 @@ class Program:
     def static_branch(self, fid: int, bidx: int) -> StaticBranch:
         """Static-branch descriptor for one block (target resolved)."""
         function = self.functions[fid]
-        block = function.blocks[bidx]
-        return StaticBranch(
-            block_pc=function.block_addr(bidx),
-            ninstr=block.ninstr,
-            kind=block.kind,
-            target=self._resolve_target(function, bidx, block),
-        )
-
-    def _resolve_target(self, function: Function, bidx: int,
-                        block: BasicBlock) -> int:
-        if block.kind in _LOCAL_TARGET_KINDS:
-            return function.block_addr(block.taken_succ)
-        if block.kind in _CALLEE_TARGET_KINDS:
-            # Image records the first candidate; indirect call sites may
-            # go elsewhere dynamically (the BTB then mispredicts).
-            return self.functions[block.callees[0]].base_addr
-        # Returns take their target from the RAS; no static target.
-        return 0
+        block_pc = function.block_addr(bidx)
+        line = branch_pc(block_pc, function.blocks[bidx].ninstr) \
+            >> BLOCK_SHIFT
+        return next(descriptor for descriptor in self.image[line]
+                    if descriptor.block_pc == block_pc)
 
     @property
     def image(self) -> Dict[int, List[StaticBranch]]:
@@ -234,12 +221,7 @@ class Program:
         return self._image
 
     def _build_image(self) -> Dict[int, List[StaticBranch]]:
-        """One pass over the laid-out block addresses.
-
-        Each descriptor equals ``static_branch(fid, bidx)``; the targets
-        resolve as :meth:`_resolve_target` resolves them, read straight
-        from the layout instead of through a lookup per block.
-        """
+        """One pass over the laid-out block addresses, in layout order."""
         bases = [function.base_addr for function in self.functions]
         image: Dict[int, List[StaticBranch]] = {}
         for function in self.functions:
@@ -249,12 +231,15 @@ class Program:
                 if kind in _LOCAL_TARGET_KINDS:
                     target = addrs[block.taken_succ]
                 elif kind in _CALLEE_TARGET_KINDS:
+                    # The first candidate; indirect call sites may go
+                    # elsewhere dynamically (the BTB then mispredicts).
                     target = bases[block.callees[0]]
                 else:
+                    # Returns take their target from the RAS.
                     target = 0
                 ninstr = block.ninstr
                 descriptor = StaticBranch(block_pc, ninstr, kind, target)
-                line = (block_pc + (ninstr - 1) * INSTR_BYTES) >> BLOCK_SHIFT
+                line = branch_pc(block_pc, ninstr) >> BLOCK_SHIFT
                 branches = image.get(line)
                 if branches is None:
                     image[line] = [descriptor]

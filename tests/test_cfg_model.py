@@ -99,22 +99,9 @@ class TestProgram:
             for branch in branches:
                 assert branch.branch_pc >> BLOCK_SHIFT == line
 
-    def test_image_matches_static_branch_per_block(self, tiny_generated):
-        """The one-pass image holds exactly the per-block
-        ``static_branch`` descriptors, line by line, in layout order."""
-        program = tiny_generated.program
-        expected = {}
-        for function in program.functions:
-            for bidx in range(function.nblocks):
-                descriptor = program.static_branch(function.fid, bidx)
-                expected.setdefault(descriptor.branch_pc >> BLOCK_SHIFT,
-                                    []).append(descriptor)
-        assert program.image == expected
-        assert list(program.image) == list(expected)
-
     def test_static_branch_targets_resolved(self, tiny_generated):
         program = tiny_generated.program
-        for function in program.functions[:10]:
+        for function in program.functions:
             for bidx, block in enumerate(function.blocks):
                 descriptor = program.static_branch(function.fid, bidx)
                 if block.kind in (BranchKind.COND, BranchKind.JUMP):
