@@ -20,6 +20,7 @@ loop offsets, giving the high intra-region spatial locality of Figure 3.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -179,8 +180,18 @@ def _scalar_draws(bit_generator: np.random.BitGenerator
     keeps *bit_generator* alive while it uses the returned functions.
     """
     interface = bit_generator.ctypes
-    random = partial(interface.next_double, interface.state)
-    next_uint32 = partial(interface.next_uint32, interface.state)
+
+    def holding_gil(function, restype):
+        # The interface's prototypes release the GIL around each call.
+        # A draw costs far less than that, and while other threads run
+        # every release can hand the GIL away for a whole switch
+        # interval, so call the same C function with the GIL held.
+        address = ctypes.cast(function, ctypes.c_void_p).value
+        prototype = ctypes.PYFUNCTYPE(restype, ctypes.c_void_p)
+        return partial(prototype(address), interface.state)
+
+    random = holding_gil(interface.next_double, ctypes.c_double)
+    next_uint32 = holding_gil(interface.next_uint32, ctypes.c_uint32)
 
     def below(n: int) -> int:
         if n == 1:
@@ -273,12 +284,11 @@ class _FunctionDrafter:
         biased branch or a return of a given length recurs thousands of
         times — so one validated instance serves every equal block.
         """
+        # The key is the block's fields, in declaration order.
         key = (ninstr, kind, taken_succ, callees, behavior, param)
         block = self._blocks.get(key)
         if block is None:
-            block = self._blocks[key] = BasicBlock(
-                ninstr=ninstr, kind=kind, taken_succ=taken_succ,
-                callees=callees, behavior=behavior, behavior_param=param)
+            block = self._blocks[key] = BasicBlock(*key)
         return block
 
     def function(self, fid: int, layer: int, is_kernel: bool
