@@ -232,9 +232,9 @@ _RET, _TRAP_RET = BranchKind.RET, BranchKind.TRAP_RET
 _BIASED, _LOOP, _ALTERNATE = (CondBehavior.BIASED, CondBehavior.LOOP,
                               CondBehavior.ALTERNATE)
 
-#: A call or trap site awaiting its callees' final fids:
-#: ``(block index, ninstr, kind, callees in generation order)``.
-_CallSite = Tuple[int, int, BranchKind, Tuple[int, ...]]
+#: A call or trap site awaiting its callees' final fids: ``(fid,
+#: block index, ninstr, kind, callees)``, fids in generation order.
+_CallSite = Tuple[int, int, int, BranchKind, Tuple[int, ...]]
 
 
 class _FunctionDrafter:
@@ -244,8 +244,8 @@ class _FunctionDrafter:
     result depends on it, and ``tests/test_program_fingerprints.py``
     pins it.  Per-program state lives here — bound RNG methods,
     constants hoisted from the params, the Zipf CDF of each cluster
-    size, and the interned immutable blocks — so nothing outlives one
-    :func:`generate_program` call.
+    size, the interned immutable blocks and the drafted call sites — so
+    nothing outlives one :func:`generate_program` call.
 
     Layers are contiguous fid ranges (``starts[layer]``, ``sizes[layer]``),
     so a callee pool is a ``(start, size)`` pair rather than a list.
@@ -273,6 +273,7 @@ class _FunctionDrafter:
         self.cold_bias = 1 - params.hot_bias
         self._cdfs: Dict[int, List[float]] = {}
         self._blocks: Dict[tuple, BasicBlock] = {}
+        self.sites: List[_CallSite] = []
 
     def block(self, ninstr: int, kind: BranchKind, taken_succ: int = -1,
               callees: Tuple[int, ...] = (),
@@ -292,12 +293,13 @@ class _FunctionDrafter:
         return block
 
     def function(self, fid: int, layer: int, is_kernel: bool
-                 ) -> Tuple[List[Optional[BasicBlock]], List[_CallSite]]:
+                 ) -> List[Optional[BasicBlock]]:
         """Draw one function's blocks.
 
         Returns the block list with ``None`` at every call and trap
-        site, and those sites with their callees still in generation
-        fids: the caller builds them once the layout order is drawn.
+        site.  Those sites go to :attr:`sites` with their callees still
+        in generation fids; the caller builds them once the layout
+        order is drawn.
         """
         params = self.params
         random = self.random
@@ -316,7 +318,7 @@ class _FunctionDrafter:
         kernel_size = 0 if is_kernel else self.sizes[-1]
 
         blocks: List[Optional[BasicBlock]] = []
-        sites: List[_CallSite] = []
+        sites = self.sites
         # Loop back-edges stop at the last call, trap or loop block.
         last_barrier = -1
         for idx in range(nblocks - 1):
@@ -328,7 +330,7 @@ class _FunctionDrafter:
                     cluster_base = below(size)
                     fanout = params.indirect_fanout \
                         if random() < params.indirect_fraction else 1
-                    sites.append((idx, ninstr, _CALL,
+                    sites.append((fid, idx, ninstr, _CALL,
                                   self._callees(start, size, cluster_base,
                                                 fanout)))
                     blocks.append(None)
@@ -340,7 +342,7 @@ class _FunctionDrafter:
                 continue
             elif roll < trap_cut and kernel_size:
                 cluster_base = below(kernel_size)
-                sites.append((idx, ninstr, _TRAP,
+                sites.append((fid, idx, ninstr, _TRAP,
                               self._callees(self.kernel_start, kernel_size,
                                             cluster_base, 1)))
                 blocks.append(None)
@@ -354,7 +356,7 @@ class _FunctionDrafter:
         terminator = _TRAP_RET if is_kernel else _RET
         blocks.append(self.block(min(2 + poisson(extra_instrs), 15),
                                  terminator))
-        return blocks, sites
+        return blocks
 
     def _cond(self, idx: int, nblocks: int, last_barrier: int) -> BasicBlock:
         """A conditional block at position *idx* of *nblocks*.
@@ -457,14 +459,12 @@ def generate_program(params: GeneratorParams) -> GeneratedProgram:
     relabel = [0] * len(order)
     for new_fid, fid in enumerate(order):
         relabel[fid] = new_fid
-    functions: List[Function] = []
-    for new_fid, fid in enumerate(order):
-        blocks, sites = drafts[fid]
-        for idx, ninstr, kind, callees in sites:
-            blocks[idx] = drafter.block(
-                ninstr, kind, callees=tuple(relabel[c] for c in callees))
-        functions.append(Function(fid=new_fid, blocks=blocks,
-                                  is_kernel=fid >= drafter.kernel_start))
+    for fid, idx, ninstr, kind, callees in drafter.sites:
+        drafts[fid][idx] = drafter.block(
+            ninstr, kind, callees=tuple(relabel[c] for c in callees))
+    functions = [Function(fid=new_fid, blocks=drafts[fid],
+                          is_kernel=fid >= drafter.kernel_start)
+                 for new_fid, fid in enumerate(order)]
 
     program = Program(functions, seed=params.seed)
     roots = relabel[:sizes[0]]
