@@ -56,9 +56,9 @@ Subcommands:
 Shared flags: ``--blocks`` (trace length; in sampled mode, the per-cell
 budget split across windows), ``--backend {serial,thread,process}`` /
 ``--max-workers N`` (execution-backend selection — DESIGN.md Section
-10), ``--parallel``/``--serial`` (legacy shorthands for the process and
-serial backends), ``--no-cache`` (disable the persistent disk cache for
-this invocation), ``--progress`` (structured per-cell progress on
+10; ``--parallel``/``--serial`` are spellings of ``--backend process``
+and ``--backend serial``), ``--no-cache`` (disable the persistent disk
+cache for this invocation), ``--progress`` (structured per-cell progress on
 stderr, with a cost-weighted ETA), ``--resume`` (continue an
 interrupted invocation from the disk cache plus its run journal —
 completed cells are never re-simulated), and the fault-tolerance trio
@@ -94,19 +94,18 @@ from typing import List, Optional
 from repro.errors import ReproError
 
 
-_EXECUTION_ENV = ("REPRO_DISK_CACHE", "REPRO_PARALLEL", "REPRO_BACKEND",
-                  "REPRO_MAX_WORKERS", "REPRO_PROGRESS", "REPRO_JOURNAL",
-                  "REPRO_RETRIES", "REPRO_UNIT_TIMEOUT", "REPRO_ON_ERROR",
-                  "REPRO_TELEMETRY", "REPRO_ENGINE")
+_EXECUTION_ENV = ("REPRO_DISK_CACHE", "REPRO_BACKEND", "REPRO_MAX_WORKERS",
+                  "REPRO_PROGRESS", "REPRO_JOURNAL", "REPRO_RETRIES",
+                  "REPRO_UNIT_TIMEOUT", "REPRO_ON_ERROR", "REPRO_TELEMETRY")
 
 #: Args that never change *which cells* an invocation runs — excluded
 #: from the journal identity, so an interrupted process-backend run can
 #: be resumed serially, to a different --out, with --progress, with a
 #: different retry policy, etc.
 _JOURNAL_IRRELEVANT = frozenset((
-    "func", "command", "backend", "max_workers", "parallel", "no_cache",
+    "func", "command", "backend", "max_workers", "no_cache",
     "progress", "resume", "out", "json", "chart",
-    "retries", "unit_timeout", "on_error", "telemetry", "engine",
+    "retries", "unit_timeout", "on_error", "telemetry",
 ))
 
 #: Default window count for ``--sampled`` without an explicit ``--windows``.
@@ -174,11 +173,11 @@ def _execution_env(args):
     """Scope the CLI execution flags to one command invocation.
 
     The flags are communicated to the sweep layer through process
-    environment switches (``REPRO_DISK_CACHE``, ``REPRO_PARALLEL``,
-    ``REPRO_BACKEND``, ``REPRO_MAX_WORKERS``, ``REPRO_PROGRESS``,
-    ``REPRO_JOURNAL``), so each one is saved before the command runs
-    and restored — including *unset* keys, which are removed again —
-    however the command exits.  Without this, an in-process caller
+    environment switches (``REPRO_DISK_CACHE``, ``REPRO_BACKEND``,
+    ``REPRO_MAX_WORKERS``, ``REPRO_PROGRESS``, ``REPRO_JOURNAL``, ...),
+    so each one is saved before the command runs and restored —
+    including *unset* keys, which are removed again — however the
+    command exits.  Without this, an in-process caller
     (tests, notebooks, examples) that invoked ``--no-cache`` once would
     silently keep running uncached ever after.
     """
@@ -186,10 +185,6 @@ def _execution_env(args):
     try:
         if getattr(args, "no_cache", False):
             os.environ["REPRO_DISK_CACHE"] = "0"
-        if getattr(args, "parallel", None) is True:
-            os.environ["REPRO_PARALLEL"] = "1"
-        elif getattr(args, "parallel", None) is False:
-            os.environ["REPRO_PARALLEL"] = "0"
         if getattr(args, "backend", None):
             os.environ["REPRO_BACKEND"] = args.backend
         if getattr(args, "max_workers", None) is not None:
@@ -210,8 +205,6 @@ def _execution_env(args):
             os.environ["REPRO_ON_ERROR"] = args.on_error
         if getattr(args, "telemetry", None):
             os.environ["REPRO_TELEMETRY"] = args.telemetry
-        if getattr(args, "engine", None):
-            os.environ["REPRO_ENGINE"] = args.engine
         if hasattr(args, "resume"):
             os.environ.pop("REPRO_JOURNAL", None)
             _setup_journal(args)
@@ -267,19 +260,12 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
              "backends produce bit-identical results)",
     )
     mode.add_argument(
-        "--parallel", dest="parallel", action="store_true", default=None,
-        help="force parallel grid execution (same as --backend process)",
+        "--parallel", dest="backend", action="store_const",
+        const="process", help="same as --backend process",
     )
     mode.add_argument(
-        "--serial", dest="parallel", action="store_false",
-        help="force serial grid execution (same as --backend serial)",
-    )
-    parser.add_argument(
-        "--engine", choices=("interpreter", "columnar"), default=None,
-        help="simulation engine core (default: interpreter; columnar "
-             "batches eligible cells into vectorised passes with "
-             "bit-identical results — ineligible schemes fall back "
-             "per cell, so the flag never changes any output)",
+        "--serial", dest="backend", action="store_const",
+        const="serial", help="same as --backend serial",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -499,9 +485,7 @@ def _sampled_sweep_lines(workloads, schemes, args,
         for workload in workloads for scheme in schemes
     }
     results = run_specs(
-        [spec for specs in cell_windows.values() for spec in specs],
-        parallel=args.parallel,
-    )
+        [spec for specs in cell_windows.values() for spec in specs])
     lines = []
     for workload in workloads:
         base_specs = cell_windows.get((workload, "baseline"))
@@ -561,7 +545,7 @@ def _cmd_sweep(args) -> int:
     else:
         with _cell_accounting("sweep", command="sweep"):
             grid = run_grid(workloads, schemes, n_blocks=args.blocks,
-                            seed=args.seed, parallel=args.parallel)
+                            seed=args.seed)
         lines = []
         for workload in workloads:
             base = grid[workload].get("baseline")
@@ -637,7 +621,6 @@ def _cmd_explore(args) -> int:
             budget=args.budget,
             n_blocks=args.blocks,
             seed=args.seed,
-            parallel=args.parallel,
             max_workers=args.max_workers,
             backend=args.backend,
         )

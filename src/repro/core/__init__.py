@@ -4,12 +4,15 @@
 delivery scheme (see :mod:`repro.prefetch`), accounting cycles for L1-I
 miss stalls, BTB-fill-induced fetch starvation and pipeline flushes —
 the phenomena the paper's evaluation is built on.  DESIGN.md Section 4
-documents the timing model in full.
+documents the timing model in full.  :func:`simulate` runs one cell the
+way every sweep does: on the columnar core when it can replay the cell
+bit-identically (DESIGN.md Section 14), else on :class:`FrontEnd`.
 """
 
 from repro.core.metrics import EngineStats, SimulationResult, \
     frontend_stall_coverage, speedup
-from repro.core.frontend import FrontEnd, simulate
+from repro.core.frontend import FrontEnd
+from repro.core.engine_select import simulate
 from repro.core.sweep import (
     run_grid,
     run_scheme,

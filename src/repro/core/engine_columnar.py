@@ -36,11 +36,12 @@ The engine therefore runs in stages:
 
 Bit-identity is the contract: every floating-point operation matches
 the interpreter's order and operand types, so
-``SimulationResult``/``EngineStats`` are equal to the last bit and the
-engine-selection flag is output-neutral (enforced by the differential
-test suite).  Schemes the replay cannot cover (run-ahead modes, custom
-predictors) are rejected — :mod:`repro.core.engine_select` falls back
-to the interpreter per cell and accounts for it in the run manifest.
+``SimulationResult``/``EngineStats`` are equal to the last bit and
+which core runs a cell is output-neutral (enforced by the differential
+test suite).  Schemes the replay cannot cover (demand-mode
+prefetchers such as confluence and rdip, run-ahead modes, custom
+predictors) are rejected — :mod:`repro.core.engine_select` sends
+those cells to the interpreter.
 """
 
 from __future__ import annotations

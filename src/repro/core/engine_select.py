@@ -1,83 +1,45 @@
-"""Engine selection: interpreter (default) vs. columnar batched core.
+"""Engine dispatch: the columnar batched core where it applies.
 
 One dispatch point (:func:`simulate`) sits between the sweep layer and
 the engines, so every call site — experiments, the sweep grid, CLI runs,
-tests — honours the same selection rule:
+library callers — takes the same path: a cell that
+:func:`repro.core.engine_columnar.supports` accepts (the ideal and
+baseline schemes on the trace-derived TAGE predictor) replays on the
+columnar core, every other cell runs on the interpreter.  Nothing but
+the cell itself decides.
 
-* ``--engine {interpreter,columnar}`` on the CLI, carried to workers via
-  the ``REPRO_ENGINE`` environment variable (the CLI records it in the
-  journal header like the other execution-environment variables);
-* unset/empty selects the interpreter, preserving seed behaviour.
-
-Selection is **output-neutral** by contract: the columnar engine is
-bit-identical where it applies, and cells it cannot replay (run-ahead
-schemes, custom predictors) silently fall back to the interpreter —
-so neither the engine fingerprint's key material nor ``ENGINE_VERSION``
-includes the selection.  The differential test suite and the golden
-snapshots enforce the contract.  Fallbacks are visible, not silent, in
-telemetry: ``engine.columnar_cells`` / ``engine.fallback_cells`` /
-``engine.fallback.<scheme>`` counters surface in the run manifest's
-engine section.
+Dispatch is **output-neutral** by contract: the columnar engine is
+bit-identical where it applies, so neither the engine fingerprint's key
+material nor ``ENGINE_VERSION`` depends on which core ran a cell.  The
+differential test suite and the golden snapshots (pinned once through
+this dispatch and once on the interpreter alone) enforce the contract.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.config import MicroarchParams
 from repro.core import engine_columnar
 from repro.core import frontend as _interpreter
 from repro.core.metrics import SimulationResult
-from repro.errors import ReproError
 from repro.prefetch.base import Scheme
 from repro.workloads.trace import Trace
-
-#: Environment variable carrying the engine selection to worker
-#: processes (set by ``--engine``; may also be exported directly).
-ENGINE_ENV = "REPRO_ENGINE"
-
-#: Valid engine names, in precedence order (first is the default).
-ENGINE_CHOICES = ("interpreter", "columnar")
-
-
-def selected_engine() -> str:
-    """The engine selected by ``REPRO_ENGINE`` (default: interpreter)."""
-    raw = os.environ.get(ENGINE_ENV, "").strip().lower()
-    if not raw:
-        return ENGINE_CHOICES[0]
-    if raw not in ENGINE_CHOICES:
-        raise ReproError(
-            f"invalid {ENGINE_ENV}={raw!r}; "
-            f"choose one of {', '.join(ENGINE_CHOICES)}"
-        )
-    return raw
 
 
 def simulate(trace: Trace, scheme: Scheme,
              params: Optional[MicroarchParams] = None,
              predictor=None, l1d_misses_per_kinstr: float = 10.0,
              warmup_fraction: float = 0.1) -> SimulationResult:
-    """Simulate one cell on the selected engine.
+    """Simulate one cell on the core that can replay it.
 
-    Drop-in replacement for :func:`repro.core.frontend.simulate`; the
-    columnar engine is used only when selected *and* eligible, so the
-    result is identical either way.
+    Drop-in replacement for :func:`repro.core.frontend.simulate`: the
+    columnar engine runs every cell it supports, the interpreter the
+    rest, and the result is identical either way.
     """
-    if selected_engine() == "columnar":
-        # Counter-only accounting (no behaviour change); workers ship
-        # these deltas back to the parent for the run manifest.
-        # repro: allow[RPR002] -- read-only telemetry counters
-        from repro.obs import metrics as _obs
-        if engine_columnar.supports(scheme, predictor):
-            _obs.counter("engine.columnar_cells").inc()
-            return engine_columnar.simulate_columnar(
-                trace, scheme, params=params, predictor=predictor,
-                l1d_misses_per_kinstr=l1d_misses_per_kinstr,
-                warmup_fraction=warmup_fraction)
-        _obs.counter("engine.fallback_cells").inc()
-        _obs.counter(f"engine.fallback.{scheme.name}").inc()
-    return _interpreter.simulate(
-        trace, scheme, params=params, predictor=predictor,
-        l1d_misses_per_kinstr=l1d_misses_per_kinstr,
-        warmup_fraction=warmup_fraction)
+    run = engine_columnar.simulate_columnar \
+        if engine_columnar.supports(scheme, predictor) \
+        else _interpreter.simulate
+    return run(trace, scheme, params=params, predictor=predictor,
+               l1d_misses_per_kinstr=l1d_misses_per_kinstr,
+               warmup_fraction=warmup_fraction)

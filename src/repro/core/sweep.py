@@ -54,7 +54,7 @@ from repro.core.exec import progress as progress_events
 # repro: allow[RPR002] -- supervision retries bit-identical cells (DESIGN 11)
 from repro.core.exec.supervisor import CellFailure, FailureReport, \
     SupervisedBackend, SupervisorEvent
-from repro.core.engine_select import selected_engine, simulate
+from repro.core.engine_select import simulate
 from repro.core.metrics import SimulationResult
 from repro.errors import ReproError
 # repro: allow[RPR002] -- RunSpec is a frozen value type; keys live in diskcache
@@ -66,10 +66,6 @@ from repro.obs import tracing as _obs_tracing
 from repro.prefetch.factory import SCHEME_FACTORIES, build_scheme
 from repro.workloads.profiles import build_program, build_trace, \
     get_profile
-
-#: Environment switch for the grid runner: ``REPRO_PARALLEL=0`` forces
-#: serial execution, any other value (or unset) allows fan-out.
-_ENV_PARALLEL = "REPRO_PARALLEL"
 
 #: Environment overrides for the backend layer, set (scoped) by the CLI:
 #: ``REPRO_BACKEND`` names the execution backend, ``REPRO_MAX_WORKERS``
@@ -102,8 +98,7 @@ _RESULT_CACHE: Dict[RunSpec, SimulationResult] = {}
 #: cross-process races (the parent probes memo and disk cache before
 #: dispatching, so a dispatched cell is simulated unless a concurrent
 #: foreign process stored it first).  A fully-cached run — serial or
-#: parallel — adds zero.  The historical module globals ``simulations``
-#: and ``quarantines`` remain readable via the ``__getattr__`` shim.
+#: parallel — adds zero.
 _SIMULATIONS = _obs_counter("sweep.simulations")
 
 #: Process-local count of cells quarantined by supervised execution
@@ -116,20 +111,6 @@ _QUARANTINES = _obs_counter("sweep.quarantines")
 #: reconcile exactly: ``cells == simulated + cached + quarantined``.
 _CELLS = _obs_counter("sweep.cells")
 _CACHED_CELLS = _obs_counter("sweep.cached_cells")
-
-_COUNTER_SHIMS = {
-    "simulations": _SIMULATIONS,
-    "quarantines": _QUARANTINES,
-}
-
-
-def __getattr__(name: str):
-    """Compatibility shim: the pre-obs counter globals, read-only."""
-    instrument = _COUNTER_SHIMS.get(name)
-    if instrument is not None:
-        return instrument.value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 #: Structured report of the most recent supervised :func:`run_specs`
 #: call that quarantined, retried or degraded anything (None when the
@@ -300,10 +281,6 @@ def _cell_scheme_name(label: Hashable,
     )
 
 
-def _parallel_allowed() -> bool:
-    return os.environ.get(_ENV_PARALLEL, "1") not in ("0", "false", "no")
-
-
 def _env_backend() -> Optional[str]:
     value = os.environ.get(_ENV_BACKEND, "").strip()
     return value.lower() or None
@@ -363,31 +340,20 @@ def _env_on_error() -> Optional[str]:
     return value or None
 
 
-def _default_backend(parallel: Optional[bool], n_pending: int,
-                     max_workers: int) -> str:
-    """Backend when the caller named none: the legacy ``parallel`` map.
+def _default_backend(n_pending: int, max_workers: int) -> str:
+    """Backend when neither the caller nor ``REPRO_BACKEND`` named one.
 
-    ``parallel=False`` is the serial path, ``parallel=True`` the
-    process pool, and ``None`` decides from ``REPRO_PARALLEL``, the
-    pending-cell count and the core count — exactly the decision the
-    pre-backend runner made.  A single worker (or a single pending
-    cell) degrades to serial: a pool of one costs spawn overhead and
-    buys nothing.
+    The process pool when there is more than one pending cell, more
+    than one worker allowed and more than one core; otherwise serial —
+    a pool of one costs spawn overhead and buys nothing.
     """
-    if parallel is False:
-        return "serial"
-    if max_workers == 1 or n_pending == 1:
-        return "serial"
-    if parallel is True:
-        return "process"
     cpu_count = os.cpu_count() or 1
-    if _parallel_allowed() and n_pending > 1 and cpu_count > 1:
+    if n_pending > 1 and max_workers > 1 and cpu_count > 1:
         return "process"
     return "serial"
 
 
 def run_specs(specs: Iterable[RunSpec],
-              parallel: Optional[bool] = None,
               max_workers: Optional[int] = None,
               use_cache: bool = True,
               backend: Optional[Union[str, Backend]] = None,
@@ -407,14 +373,13 @@ def run_specs(specs: Iterable[RunSpec],
     bit-identical whichever backend executes them.
 
     Args:
-        parallel: legacy switch — ``False`` forces the serial backend,
-            ``True`` the process backend, ``None`` auto-decides.
-            ``backend`` (or the scoped ``REPRO_BACKEND`` environment
-            override the CLI sets) wins over it.
         max_workers: pool size cap (default ``REPRO_MAX_WORKERS`` or
             the machine's core count), clamped to the pending work.
         backend: a backend name (``serial``/``thread``/``process``) or
-            a configured :class:`~repro.core.exec.Backend` instance.
+            a configured :class:`~repro.core.exec.Backend` instance
+            (default ``REPRO_BACKEND``, else the process pool when the
+            pending cells, the worker cap and the machine allow
+            fan-out, else serial).
         progress: callback receiving structured
             :class:`~repro.core.exec.ProgressEvent` values (default:
             stderr rendering when ``REPRO_PROGRESS`` is set).
@@ -572,13 +537,6 @@ def run_specs(specs: Iterable[RunSpec],
             last_failures = None
         return len(cells)
 
-    # Gauge set parent-side (gauges do not travel back from process
-    # workers); per-cell engine counters ship with the worker deltas.
-    # Set before the fully-cached early return so the manifest records
-    # the requested engine even when no cell simulates (and an invalid
-    # REPRO_ENGINE fails loudly regardless of cache state).
-    _obs_gauge("engine.requested").set(selected_engine())
-
     if not pending:
         # Fully cached (or fully carried): the scheduler never
         # materialises — the no-executor guarantee the regression
@@ -595,7 +553,7 @@ def run_specs(specs: Iterable[RunSpec],
     workers = max(1, min(max_workers, len(pending)))
     chosen = backend if backend is not None else _env_backend()
     if chosen is None:
-        chosen = _default_backend(parallel, len(pending), workers)
+        chosen = _default_backend(len(pending), workers)
     engine = get_backend(chosen, max_workers=workers)
     _obs_gauge("sweep.last_backend").set(
         getattr(engine, "name", str(chosen)))
@@ -687,8 +645,8 @@ def run_grid(workloads: Sequence[str], schemes: Sequence[Hashable],
              configs: Optional[Dict] = None,
              params: Optional[MicroarchParams] = None,
              seed: int = 0,
-             parallel: Optional[bool] = None,
              max_workers: Optional[int] = None,
+             backend: Optional[Union[str, Backend]] = None,
              ) -> Dict[str, Dict[Hashable, SimulationResult]]:
     """Simulate a full (workload × scheme/config) grid, fanned across cores.
 
@@ -700,10 +658,10 @@ def run_grid(workloads: Sequence[str], schemes: Sequence[Hashable],
         configs: optional per-label :class:`SchemeConfig` overrides.
         params: microarchitectural parameters for every cell.
         seed: trace seed selector (0 = each profile's reference seed).
-        parallel: force parallel (True) or serial (False) execution;
-            default decides from ``REPRO_PARALLEL``, the cell count and
-            the machine's core count.
         max_workers: pool size cap (default: ``os.cpu_count()``).
+        backend: execution backend, as for :func:`run_specs` (default:
+            ``REPRO_BACKEND``, else decided from the cell count and the
+            machine's core count).
 
     Returns:
         ``{workload: {label: SimulationResult}}``.
@@ -719,8 +677,8 @@ def run_grid(workloads: Sequence[str], schemes: Sequence[Hashable],
                 workload=workload, scheme=scheme_name, config=config,
                 params=params, n_blocks=n_blocks, seed=seed,
             )
-    results = run_specs(cell_specs.values(), parallel=parallel,
-                        max_workers=max_workers)
+    results = run_specs(cell_specs.values(), max_workers=max_workers,
+                        backend=backend)
     # .get: under --on-error skip/degrade a quarantined cell has no
     # result; its grid slot is None and consumers decide how to react.
     return {
@@ -736,27 +694,19 @@ def run_schemes(workload: str, scheme_names: Iterable[str],
                 n_blocks: int = DEFAULT_TRACE_BLOCKS,
                 configs: Optional[Dict[str, SchemeConfig]] = None,
                 params: Optional[MicroarchParams] = None,
-                parallel: bool = False,
                 max_workers: Optional[int] = None,
+                backend: Union[str, Backend] = "serial",
                 ) -> Dict[str, SimulationResult]:
     """Simulate several schemes on the same workload trace.
 
     ``configs`` optionally overrides the per-scheme configuration (keyed
-    by scheme name); missing keys get defaults.  With ``parallel`` the
-    schemes fan out as a one-row :func:`run_grid`.
+    by scheme name); missing keys get defaults.  The schemes run as a
+    one-row :func:`run_grid` on ``backend`` (serial unless named).
     """
-    scheme_names = list(scheme_names)
-    if parallel:
-        grid = run_grid([workload], scheme_names, n_blocks=n_blocks,
-                        configs=configs, params=params,
-                        parallel=True, max_workers=max_workers)
-        return grid[workload]
-    results: Dict[str, SimulationResult] = {}
-    for name in scheme_names:
-        config = configs.get(name) if configs else None
-        results[name] = run_scheme(workload, name, n_blocks=n_blocks,
-                                   config=config, params=params)
-    return results
+    grid = run_grid([workload], list(scheme_names), n_blocks=n_blocks,
+                    configs=configs, params=params,
+                    max_workers=max_workers, backend=backend)
+    return grid[workload]
 
 
 def clear_result_cache() -> None:

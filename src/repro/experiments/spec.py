@@ -444,7 +444,6 @@ class GridSpec:
 
 
 def run_grid_spec(spec: GridSpec, n_blocks: Optional[int] = None,
-                  parallel: Optional[bool] = None,
                   max_workers: Optional[int] = None,
                   use_cache: bool = True,
                   backend=None,
@@ -469,9 +468,9 @@ def run_grid_spec(spec: GridSpec, n_blocks: Optional[int] = None,
     half-width.
     """
     from repro.core.sweep import run_specs
-    results = run_specs(spec.run_specs(n_blocks), parallel=parallel,
-                        max_workers=max_workers, use_cache=use_cache,
-                        backend=backend, progress=progress)
+    results = run_specs(spec.run_specs(n_blocks), max_workers=max_workers,
+                        use_cache=use_cache, backend=backend,
+                        progress=progress)
     metric = METRICS[spec.metric]
 
     def lookup(run):

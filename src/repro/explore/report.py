@@ -54,14 +54,12 @@ class _Evaluator:
     def __init__(self, space: ParamSpace,
                  objectives: Tuple[Objective, ...],
                  budget: Optional[int], n_blocks: int,
-                 parallel: Optional[bool] = None,
                  max_workers: Optional[int] = None,
                  backend=None) -> None:
         self.space = space
         self.objectives = objectives
         self.budget = budget
         self.n_blocks = n_blocks
-        self._parallel = parallel
         self._max_workers = max_workers
         self._backend = backend
         self._needs_baseline = any(obj.name == "speedup"
@@ -96,8 +94,7 @@ class _Evaluator:
                 f"{self.budget - len(self._charged)} of the "
                 f"{self.budget}-cell budget remain"
             )
-        results = run_specs(specs, parallel=self._parallel,
-                            max_workers=self._max_workers,
+        results = run_specs(specs, max_workers=self._max_workers,
                             backend=self._backend)
         missing = [spec for spec in specs if spec not in results]
         if missing:
@@ -274,7 +271,6 @@ def explore(space: ParamSpace,
             budget: Optional[int] = None,
             n_blocks: Optional[int] = None,
             seed: int = 0,
-            parallel: Optional[bool] = None,
             max_workers: Optional[int] = None,
             backend=None) -> ExploreResult:
     """Run one budgeted exploration of *space* and extract its frontier.
@@ -286,8 +282,8 @@ def explore(space: ParamSpace,
     repeats are served from the in-process memo and the persistent disk
     cache.
     """
-    from repro.core import sweep
     from repro.core.sweep import simulation_meter
+    from repro.obs.metrics import counter
     if isinstance(strategy, str):
         strategy = get_strategy(strategy)
     resolved = resolve_objectives([
@@ -298,10 +294,10 @@ def explore(space: ParamSpace,
     if budget is not None and budget < 1:
         raise ExperimentError("explore budget must be at least one cell")
     evaluator = _Evaluator(space, resolved, budget, blocks,
-                           parallel=parallel, max_workers=max_workers,
-                           backend=backend)
+                           max_workers=max_workers, backend=backend)
     rng = random.Random(seed)
-    quarantined_before = sweep.quarantines
+    quarantines = counter("sweep.quarantines")
+    quarantined_before = quarantines.value
     with simulation_meter() as meter:
         try:
             strategy.search(space, evaluator, rng)
@@ -319,7 +315,7 @@ def explore(space: ParamSpace,
         frontier=pareto_frontier(evaluator.evaluated, resolved),
         cells=evaluator.cells,
         simulations=simulations,
-        failures=sweep.quarantines - quarantined_before,
+        failures=quarantines.value - quarantined_before,
     )
 
 

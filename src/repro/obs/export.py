@@ -170,6 +170,10 @@ def cache_section(counters: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     }
 
 
+#: Manifest phases timed from spans (absent when none were collected).
+SPAN_PHASES = ("schedule", "cache_probe", "execute", "simulate")
+
+
 def _phase_total(spans: Sequence[Dict[str, Any]], name: str) -> float:
     return sum(float(record.get("duration", 0.0))
                for record in spans if record.get("name") == name)
@@ -239,10 +243,6 @@ class RunReport:
     metrics: Dict[str, Dict]
     spans: List[Dict[str, Any]] = field(default_factory=list)
     journal: Optional[str] = None
-    #: Engine-core selection accounting (``--engine``): requested core,
-    #: columnar vs fallback cell counts.  None for interpreter-only runs
-    #: (and for manifests written before the field existed).
-    engine: Optional[Dict[str, Any]] = None
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -264,7 +264,6 @@ class RunReport:
             "metrics": self.metrics,
             "spans": self.spans,
             "journal": self.journal,
-            "engine": self.engine,
         }
 
     def render(self) -> str:
@@ -283,13 +282,6 @@ class RunReport:
             f"{counts.get('cached', 0)} cached + "
             f"{counts.get('quarantined', 0)} quarantined",
         ]
-        if self.engine:
-            fallbacks = self.engine.get("fallback_cells", 0)
-            suffix = f", {fallbacks} fallback" if fallbacks else ""
-            lines.append(
-                f"  core:     {self.engine.get('requested', '?')} "
-                f"({self.engine.get('columnar_cells', 0)} columnar cells"
-                f"{suffix})")
         ratio = self.cache.get("hit_ratio")
         ratio_text = f"{ratio:.1%}" if ratio is not None else "n/a"
         lines.append(
@@ -297,11 +289,15 @@ class RunReport:
             f"{self.cache.get('misses', 0)} misses "
             f"(ratio {ratio_text}, {self.cache.get('stores', 0)} stores, "
             f"{self.cache.get('corrupt', 0)} corrupt)")
-        if self.phases:
-            breakdown = ", ".join(
-                f"{name} {seconds:.2f}s"
-                for name, seconds in sorted(self.phases.items()))
-            lines.append(f"  phases:   {breakdown}")
+        traced = any(name in self.phases for name in SPAN_PHASES)
+        breakdown = ", ".join(
+            f"{name} {seconds:.2f}s"
+            for name, seconds in sorted(self.phases.items())
+            if traced or seconds)
+        if not traced:
+            breakdown = "; ".join(filter(None, (
+                "not collected (run with --telemetry)", breakdown)))
+        lines.append(f"  phases:   {breakdown}")
         for title, table in (("scheme", self.cells.get("by_scheme", {})),
                              ("workload", self.cells.get("by_workload", {}))):
             for key, bucket in table.items():
@@ -343,32 +339,13 @@ def build_report(run_id: str, label: str, command: str,
         "degrades": counters.get("supervisor.degrades", 0),
         "journal_writes": counters.get("journal.writes", 0),
     }
-    phases = {
-        "schedule": _phase_total(spans, "schedule"),
-        "cache_probe": _phase_total(spans, "cache_probe"),
-        "execute": _phase_total(spans, "execute"),
-        "simulate": _phase_total(spans, "simulate"),
-        "retry_backoff": float(
-            counters.get("supervisor.backoff_seconds", 0.0)),
-    }
+    # Span-derived phases only when spans were collected: an untraced
+    # run measured none of them, and a 0.0 would read as a measurement.
+    phases = {name: _phase_total(spans, name)
+              for name in SPAN_PHASES} if spans else {}
+    phases["retry_backoff"] = float(
+        counters.get("supervisor.backoff_seconds", 0.0))
     workers = gauges.get("sweep.last_workers")
-    requested = gauges.get("engine.requested")
-    columnar_cells = counters.get("engine.columnar_cells", 0)
-    fallback_cells = counters.get("engine.fallback_cells", 0)
-    engine_section: Optional[Dict[str, Any]] = None
-    if requested not in (None, "interpreter") \
-            or columnar_cells or fallback_cells:
-        prefix = "engine.fallback."
-        engine_section = {
-            "requested": requested or "interpreter",
-            "columnar_cells": columnar_cells,
-            "fallback_cells": fallback_cells,
-            "fallbacks_by_scheme": {
-                name[len(prefix):]: value
-                for name, value in sorted(counters.items())
-                if name.startswith(prefix) and value
-            },
-        }
     return RunReport(
         run_id=run_id,
         label=label,
@@ -387,7 +364,6 @@ def build_report(run_id: str, label: str, command: str,
         metrics=delta,
         spans=spans,
         journal=journal,
-        engine=engine_section,
     )
 
 
@@ -401,8 +377,8 @@ def render_accounting(label: str, delta: Dict[str, Dict]) -> str:
 
     Format is pinned by CI greps: ``[label: N simulated, M cached]``
     with ``, K quarantined`` appended only when K > 0.  ``cached``
-    counts *disk-cache* hits (probe + retry-recovered), exactly the
-    pre-obs ``diskcache.hits`` delta semantics.
+    counts *disk-cache* hits (probe + retry-recovered): the
+    ``cache.hits`` counter delta.
     """
     counters = delta.get("counters", {})
     simulated = counters.get("sweep.simulations", 0)
@@ -558,7 +534,6 @@ def render_manifest(manifest: Dict[str, Any]) -> str:
         "engine_version": 0, "engine_fingerprint": "?",
         "counts": {}, "cache": {}, "phases": {}, "cells": {},
         "failures": None, "metrics": {}, "spans": [], "journal": None,
-        "engine": None,
     }
     for name in fields_wanted:
         if payload.get(name) is None:

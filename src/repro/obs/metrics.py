@@ -12,12 +12,10 @@ stay authoritative for accounting.
 Instrument naming scheme (dotted, lowercase, ``subsystem.event``):
 
 * ``cache.hits`` / ``cache.misses`` / ``cache.stores`` /
-  ``cache.corrupt`` — the disk-cache counters (the pre-obs module
-  globals of :mod:`repro.core.diskcache` are compatibility shims over
-  these).
-* ``sweep.simulations`` / ``sweep.quarantines`` / ``sweep.memo_hits``
-  / ``sweep.cells`` — scheduler accounting (ditto for the pre-obs
-  ``sweep.simulations``/``sweep.quarantines`` module globals).
+  ``cache.corrupt`` — the disk-cache counters
+  (:mod:`repro.core.diskcache`).
+* ``sweep.simulations`` / ``sweep.quarantines`` / ``sweep.cached_cells``
+  / ``sweep.cells`` — scheduler accounting.
 * ``supervisor.retries`` / ``supervisor.quarantines`` /
   ``supervisor.degrades`` / ``supervisor.backoff_seconds`` — fault
   tolerance.

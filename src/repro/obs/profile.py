@@ -56,9 +56,9 @@ def engine_phase(mode: str, **attrs) -> Iterator[None]:
     *mode* is the interpreter's run mode (``ideal`` / ``demand`` /
     ``runahead``) or the columnar core's ``columnar.ideal`` /
     ``columnar.demand``, so ``repro trace`` attributes wall-clock to
-    the engine that actually executed each cell — under ``--engine
-    columnar`` a mixed sweep shows both ``engine.columnar.*`` spans
-    and plain ``engine.runahead`` spans for the fallback cells.
+    the engine that actually executed each cell — a mixed sweep shows
+    ``engine.columnar.*`` spans for its ideal/baseline cells and plain
+    ``engine.demand`` / ``engine.runahead`` spans for the rest.
     """
     if not tracing.enabled():
         yield

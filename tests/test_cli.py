@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.obs.metrics import counter
 
 
 class TestList:
@@ -104,14 +105,6 @@ class TestReport:
             assert payload["experiment_id"] == experiment_id
 
 
-class TestLegacyEntryPoint:
-    def test_experiments_main_delegates(self, capsys):
-        from repro.experiments.__main__ import main as legacy_main
-        assert legacy_main(["table1", "--blocks", "3000"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out and "regenerated" in out
-
-
 class TestNoCacheFlag:
     def test_no_cache_disables_disk_cache(self, tmp_path, monkeypatch,
                                           capsys):
@@ -124,7 +117,7 @@ class TestNoCacheFlag:
         assert main(["run", "colocation", "--blocks", "2000",
                      "--serial", "--no-cache"]) == 0
         capsys.readouterr()
-        assert diskcache.stores == 0
+        assert counter("cache.stores").value == 0
         assert not os.path.isdir(str(tmp_path / "cache"))
         clear_result_cache()
 
@@ -136,23 +129,23 @@ class TestNoCacheFlag:
         uncached/serial."""
         from repro.core import diskcache
         monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert main(["run", "figure3", "--blocks", "2000",
                      "--serial", "--no-cache"]) == 0
         capsys.readouterr()
         assert "REPRO_DISK_CACHE" not in os.environ
-        assert "REPRO_PARALLEL" not in os.environ
+        assert "REPRO_BACKEND" not in os.environ
         assert diskcache.enabled()
 
     def test_execution_env_restores_prior_values(self, monkeypatch,
                                                  capsys):
         monkeypatch.setenv("REPRO_DISK_CACHE", "1")
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
         assert main(["run", "figure3", "--blocks", "2000",
                      "--serial", "--no-cache"]) == 0
         capsys.readouterr()
         assert os.environ["REPRO_DISK_CACHE"] == "1"
-        assert os.environ["REPRO_PARALLEL"] == "1"
+        assert os.environ["REPRO_BACKEND"] == "thread"
 
     def test_execution_env_restored_on_error(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
@@ -247,6 +240,21 @@ class TestBackendFlags:
             main(["sweep", "--workloads", "nutch", "--schemes",
                   "baseline", "--backend", "process", "--serial"])
 
+    @pytest.mark.parametrize("flag,backend", [("--serial", "serial"),
+                                              ("--parallel", "process"),
+                                              (None, None)])
+    def test_serial_and_parallel_spell_a_backend(self, flag, backend,
+                                                 capsys):
+        from repro.cli import build_parser
+        base = ["sweep", "--workloads", "nutch", "--schemes", "baseline"]
+        args = build_parser().parse_args(base + ([flag] if flag else []))
+        assert args.backend == backend
+        assert not hasattr(args, "parallel")
+        if flag:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(base + [flag, "--backend",
+                                                  "thread"])
+
     def test_cell_accounting_line_on_stderr(self, capsys):
         assert main(["sweep", "--workloads", "nutch", "--schemes",
                      "baseline", "--blocks", "2000"]) == 0
@@ -333,6 +341,22 @@ class TestResume:
         other = parser.parse_args(["sweep", "--workloads", "nutch",
                                    "--schemes", "ideal"])
         assert _invocation_material(base) != _invocation_material(other)
+
+    @pytest.mark.parametrize("argv,run_id", [
+        (["run", "figure7", "--blocks", "8000"], "3343ccff1c576a40"),
+        (["run", "figure7", "--blocks", "8000", "--serial"],
+         "3343ccff1c576a40"),
+        (["sweep", "--workloads", "nutch,streaming", "--schemes",
+          "baseline,ideal,shotgun", "--blocks", "2000", "--parallel"],
+         "42357ab9bb183799"),
+    ])
+    def test_journal_ids_are_pinned(self, argv, run_id):
+        """A journal written by an earlier release must still be found
+        by --resume: the ids of these invocations never change."""
+        from repro.cli import _invocation_material, build_parser
+        from repro.core.exec.journal import invocation_id
+        args = build_parser().parse_args(argv)
+        assert invocation_id(_invocation_material(args)) == run_id
 
 
 class TestFaultTolerance:

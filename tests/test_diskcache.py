@@ -11,6 +11,7 @@ from repro.config import MicroarchParams, SchemeConfig
 from repro.core import diskcache
 from repro.core.metrics import EngineStats, SimulationResult
 from repro.core.sweep import clear_result_cache, run_scheme
+from repro.obs.metrics import counter
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ class TestStoreLoad:
 
     def test_miss_returns_none(self, fresh_cache):
         assert diskcache.load(_key()) is None
-        assert diskcache.misses == 1
+        assert counter("cache.misses").value == 1
 
     def test_corrupt_entry_is_a_miss(self, fresh_cache):
         key = _key()
@@ -159,16 +160,16 @@ class TestOptOut:
 class TestRunSchemeIntegration:
     def test_disk_hit_equals_simulated_result(self, fresh_cache):
         first = run_scheme("nutch", "baseline", n_blocks=2000)
-        assert diskcache.stores == 1
+        assert counter("cache.stores").value == 1
         # Drop the in-process memo: the next call must come from disk
         # and be field-identical to the simulated result.
         clear_result_cache()
         second = run_scheme("nutch", "baseline", n_blocks=2000)
-        assert diskcache.hits == 1
+        assert counter("cache.hits").value == 1
         assert second is not first
         assert second.stats == first.stats
 
     def test_use_cache_false_skips_disk(self, fresh_cache):
         run_scheme("nutch", "baseline", n_blocks=2000, use_cache=False)
-        assert diskcache.stores == 0
-        assert diskcache.hits == 0
+        assert counter("cache.stores").value == 0
+        assert counter("cache.hits").value == 0

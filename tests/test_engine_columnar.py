@@ -1,16 +1,17 @@
 """Differential tests: the columnar engine is bit-identical.
 
-The ``--engine`` flag must be **output-neutral**: for every cell the
-columnar core either replays the interpreter to the last bit or falls
-back to it.  These tests drive random RunSpec-shaped inputs (every
+Engine dispatch must be **output-neutral**: for every cell the columnar
+core either replays the interpreter to the last bit or the cell runs on
+the interpreter.  These tests drive random RunSpec-shaped inputs (every
 registered scheme x sampled workload families x microarch parameter
 points) through both engines and compare ``SimulationResult`` stats
 field by field on exact value *and* type — a 1-ULP drift or a stray
 ``np.float64`` leaking into the (JSON-cached) stats fails here.
 
-The golden suite re-runs under ``REPRO_ENGINE=columnar`` against the
-same pinned snapshots the interpreter must match, so the no-drift /
-no-``ENGINE_VERSION``-bump contract covers both cores.
+The golden suite runs its baseline/ideal cells on the columnar core
+through the dispatch; figures 1 and 7 re-run here with the columnar
+core switched off against the same pinned snapshots, so the no-drift /
+no-``ENGINE_VERSION``-bump contract covers both cores end to end.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.config import MicroarchParams
 from repro.core import engine_columnar, engine_select
 from repro.core import frontend
-from repro.core.engine_select import selected_engine
 from repro.core.sweep import clear_result_cache
-from repro.errors import ReproError, SimulationError
+from repro.errors import SimulationError
 from repro.prefetch.factory import SCHEME_FACTORIES, build_scheme
 from repro.workloads.profiles import build_trace
 
@@ -49,13 +49,15 @@ def _build(workload, scheme, params, n_blocks):
     return trace, build_scheme(scheme, params, trace.generated)
 
 
-def _assert_identical(workload, scheme, params, n_blocks,
-                      monkeypatch, **kwargs):
+def _assert_identical(workload, scheme, params, n_blocks, **kwargs):
+    """The interpreter vs. the columnar core (eligible schemes) or the
+    dispatch (ineligible ones, which must land on the interpreter)."""
     trace, s1 = _build(workload, scheme, params, n_blocks)
     s2 = build_scheme(scheme, params, trace.generated)
     reference = frontend.simulate(trace, s1, params=params, **kwargs)
-    monkeypatch.setenv("REPRO_ENGINE", "columnar")
-    candidate = engine_select.simulate(trace, s2, params=params, **kwargs)
+    candidate_engine = engine_columnar.simulate_columnar \
+        if scheme in COLUMNAR_SCHEMES else engine_select.simulate
+    candidate = candidate_engine(trace, s2, params=params, **kwargs)
     assert candidate.scheme == reference.scheme
     assert _exact_stats(candidate) == _exact_stats(reference)
 
@@ -85,26 +87,12 @@ class TestEligibility:
 
 
 class TestSelection:
-    def test_default_is_interpreter(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert selected_engine() == "interpreter"
-
-    def test_env_selects_columnar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "columnar")
-        assert selected_engine() == "columnar"
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
-        with pytest.raises(ReproError, match="REPRO_ENGINE"):
-            selected_engine()
-
     def test_columnar_path_actually_taken(self, monkeypatch):
         """The eligible path must not silently route back to the
         interpreter — a differential suite comparing the interpreter
         to itself would prove nothing."""
         params = MicroarchParams()
         trace, scheme = _build("apache", "baseline", params, 2000)
-        monkeypatch.setenv("REPRO_ENGINE", "columnar")
 
         def _boom(*args, **kwargs):
             raise AssertionError(
@@ -118,7 +106,6 @@ class TestSelection:
                                                        monkeypatch):
         params = MicroarchParams()
         trace, scheme = _build("apache", "fdip", params, 2000)
-        monkeypatch.setenv("REPRO_ENGINE", "columnar")
         sentinel = object()
         monkeypatch.setattr(frontend, "simulate",
                             lambda *a, **k: sentinel)
@@ -130,25 +117,22 @@ class TestDifferential:
     """Both engines, same cell, bit-identical stats."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_every_scheme_default_params(self, scheme, monkeypatch):
-        _assert_identical("apache", scheme, MicroarchParams(), 2500,
-                          monkeypatch)
+    def test_every_scheme_default_params(self, scheme):
+        _assert_identical("apache", scheme, MicroarchParams(), 2500)
 
     @pytest.mark.parametrize("scheme", COLUMNAR_SCHEMES)
     @pytest.mark.parametrize("workload",
                              ["nutch", "streaming", "zeus", "db2"])
-    def test_columnar_schemes_across_workloads(self, scheme, workload,
-                                               monkeypatch):
-        _assert_identical(workload, scheme, MicroarchParams(), 2000,
-                          monkeypatch)
+    def test_columnar_schemes_across_workloads(self, scheme, workload):
+        _assert_identical(workload, scheme, MicroarchParams(), 2000)
 
-    def test_zero_warmup_window(self, monkeypatch):
+    def test_zero_warmup_window(self):
         _assert_identical("apache", "baseline", MicroarchParams(), 2000,
-                          monkeypatch, warmup_fraction=0.0)
+                          warmup_fraction=0.0)
 
-    def test_heavy_l1d_traffic(self, monkeypatch):
+    def test_heavy_l1d_traffic(self):
         _assert_identical("oracle", "baseline", MicroarchParams(), 2000,
-                          monkeypatch, l1d_misses_per_kinstr=80.0)
+                          l1d_misses_per_kinstr=80.0)
 
     @given(
         workload=st.sampled_from(["apache", "nutch", "oracle",
@@ -179,19 +163,8 @@ class TestDifferential:
 
 
 class TestKeyAndFingerprintNeutrality:
-    """The engine *selection* is output-neutral and so must be absent
-    from all key material; the columnar *implementation* can change
-    output if it drifts, so its source must be fingerprinted."""
-
-    def test_selection_not_in_cache_keys(self, monkeypatch):
-        from repro.core.diskcache import spec_key
-        from repro.experiments.spec import RunSpec
-        spec = RunSpec(workload="apache", scheme="baseline",
-                       n_blocks=2000)
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        interpreter_key = spec_key(spec)
-        monkeypatch.setenv("REPRO_ENGINE", "columnar")
-        assert spec_key(spec) == interpreter_key
+    """The columnar *implementation* can change output if it drifts,
+    so its source must be fingerprinted."""
 
     def test_columnar_modules_are_fingerprinted(self):
         import repro
@@ -211,22 +184,30 @@ class TestKeyAndFingerprintNeutrality:
         assert os.path.join("core", "engine_select.py") in seen
 
 
-class TestGoldenUnderColumnar:
-    """The pinned golden snapshots hold under ``--engine columnar``
-    (eligible cells replayed columnar, run-ahead cells falling back) —
-    the flag changes no figure and needs no ``ENGINE_VERSION`` bump."""
+class TestGoldenUnderInterpreter:
+    """The pinned golden snapshots hold with the columnar core switched
+    off, so every cell runs on the interpreter: the reference path stays
+    pinned end to end while the golden suite itself runs the dispatch."""
 
     @pytest.fixture()
-    def columnar_env(self, tmp_path, monkeypatch):
+    def interpreter_only(self, tmp_path, monkeypatch):
+        def _columnar(*args, **kwargs):
+            raise AssertionError("the columnar core must not run")
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_ENGINE", "columnar")
+        # Serial, so the patches below cover every cell.
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        monkeypatch.setattr(engine_columnar, "supports",
+                            lambda scheme, predictor=None: False)
+        monkeypatch.setattr(engine_columnar, "simulate_columnar",
+                            _columnar)
         clear_result_cache()
         yield
         clear_result_cache()
 
     @pytest.mark.parametrize("experiment_id", ["figure1", "figure7"])
-    def test_golden_snapshot_under_columnar(self, experiment_id,
-                                            columnar_env):
+    def test_golden_snapshot_under_interpreter(self, experiment_id,
+                                               interpreter_only):
         from tests.test_golden_figures import compute_snapshot, \
             golden_path
         path = golden_path(experiment_id)

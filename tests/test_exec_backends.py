@@ -383,14 +383,32 @@ class TestInterruptResume:
                                                  monkeypatch):
         """Abandoning a pool backend's iterator cancels unstarted units
         instead of draining the whole sweep."""
+        import time
+        from repro.core import sweep
         _fresh(tmp_path, monkeypatch)
         backend = ThreadBackend(max_workers=1)
         units = chunk_specs(list(self.SPECS), max_workers=1,
                             units_per_worker=len(self.SPECS))
-        assert len(units) >= 2
-        iterator = backend.execute(units)
-        next(iterator)
-        iterator.close()
+        assert len(units) >= 3
+        # Every cell after the first is held for 0.2 s, so the worker is
+        # still inside the second unit when the iterator is abandoned:
+        # warm cells simulate in milliseconds and could otherwise drain
+        # the whole queue before close() runs.
+        real_run_spec = sweep.run_spec
+        calls = []
+
+        def slow_after_first(*args, **kwargs):
+            if calls:
+                time.sleep(0.2)
+            calls.append(args)
+            return real_run_spec(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep, "run_spec", slow_after_first)
+            iterator = backend.execute(units)
+            next(iterator)
+            iterator.close()
+        assert len(calls) < len(self.SPECS)
         with simulation_meter() as meter:
             clear_result_cache()
             run_specs(self.SPECS, backend="serial")
@@ -416,11 +434,11 @@ class TestFullyCachedRunsNeverSchedule:
 
         monkeypatch.setattr("repro.core.sweep.get_backend", explode)
         # Memo path (same process) ...
-        results = run_specs(specs, parallel=True, max_workers=4)
+        results = run_specs(specs, backend="process", max_workers=4)
         assert len(results) == len(specs)
         # ... and disk path (fresh process simulated by clearing memo).
         clear_result_cache()
-        results = run_specs(specs, parallel=True, max_workers=4)
+        results = run_specs(specs, backend="process", max_workers=4)
         assert len(results) == len(specs)
         clear_result_cache()
 

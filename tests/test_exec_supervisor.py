@@ -15,6 +15,7 @@ from repro.core.sweep import clear_result_cache, run_specs, \
     simulation_meter
 from repro.errors import ReproError
 from repro.experiments.spec import RunSpec
+from repro.obs.metrics import counter
 
 
 #: Small, fast cells (sub-second each) the fault matrix permutes over.
@@ -130,10 +131,10 @@ class TestQuarantine:
         poison = CELLS[2]
         plan = FaultPlan(rules=(_rule("raise", poison, times=None),),
                         state_dir=str(tmp_path / "faults"))
-        before = sweep.quarantines
+        before = counter("sweep.quarantines").value
         results = run_specs(CELLS, backend="serial", faults=plan,
                             retries=1, on_error="skip")
-        assert sweep.quarantines - before == 1
+        assert counter("sweep.quarantines").value - before == 1
         report = sweep.last_failures
         assert [f.spec for f in report.cells] == [poison.canonical()]
         assert report.cells[0].attempts[-1]["kind"] == "error"

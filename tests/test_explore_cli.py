@@ -16,6 +16,7 @@ from repro.explore import (
     ParamSpace,
     explore,
 )
+from repro.obs.metrics import counter
 
 #: A deliberately tiny space so engine-backed tests stay fast.
 TINY_SPACE = ParamSpace(
@@ -32,7 +33,7 @@ TINY_SPACE = ParamSpace(
 def fresh_cache(tmp_path, monkeypatch):
     """A private empty disk cache, serial execution, empty memo."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_PARALLEL", "0")
+    monkeypatch.setenv("REPRO_BACKEND", "serial")
     monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
     diskcache.reset_counters()
     sweep.clear_result_cache()
@@ -121,19 +122,19 @@ class TestExploreCli:
     def test_rerun_is_fully_cached_and_bit_identical(
             self, fresh_cache, tmp_path, capsys):
         """Acceptance: a repeated invocation performs zero simulations
-        (sweep.simulations counter) and produces identical stdout."""
+        (the sweep.simulations counter) and produces identical stdout."""
         args = ["explore", "--space", _space_file(tmp_path),
                 "--strategy", "random", "--budget", "5",
                 "--blocks", "1500", "--seed", "11", "--serial", "--json"]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert sweep.simulations > 0
+        assert counter("sweep.simulations").value > 0
 
         sweep.clear_result_cache()  # drop the memo: disk cache must serve
         sweep.reset_simulation_counter()
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert sweep.simulations == 0
+        assert counter("sweep.simulations").value == 0
         assert second == first
 
     def test_seeds_change_the_schedule(self, fresh_cache, tmp_path,

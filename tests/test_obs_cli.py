@@ -94,6 +94,34 @@ class TestManifestFile:
             == counts["simulated"] + counts["cached"]
         assert len(journal.quarantined) == counts["quarantined"]
 
+    def test_untraced_run_records_no_span_phases(self, tmp_path,
+                                                 monkeypatch, capsys):
+        """Without --telemetry no spans exist, so the span-timed phases
+        are absent rather than 0.0 beside a real elapsed time."""
+        from repro.obs.export import SPAN_PHASES
+        _fresh(tmp_path, monkeypatch)
+        assert main(_sweep_args()) == 0
+        capsys.readouterr()
+        assert main(["stats", "--json"]) == 0
+        manifest = json.loads(capsys.readouterr().out)
+        assert not manifest["spans"]
+        assert not set(SPAN_PHASES) & set(manifest["phases"])
+        assert main(["stats"]) == 0
+        assert "  phases:   not collected (run with --telemetry)\n" \
+            in capsys.readouterr().out
+
+    def test_traced_run_records_span_phases(self, tmp_path, monkeypatch,
+                                            capsys):
+        from repro.obs.export import SPAN_PHASES
+        _fresh(tmp_path, monkeypatch)
+        assert main(_sweep_args(
+            ["--telemetry", str(tmp_path / "t.jsonl")])) == 0
+        capsys.readouterr()
+        assert main(["stats", "--json"]) == 0
+        phases = json.loads(capsys.readouterr().out)["phases"]
+        assert set(SPAN_PHASES) <= set(phases)
+        assert phases["simulate"] > 0.0
+
 
 class TestStatsCommand:
     def test_renders_latest_manifest(self, tmp_path, monkeypatch,

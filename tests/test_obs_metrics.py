@@ -1,4 +1,4 @@
-"""Tests for the metrics registry and its compatibility shims."""
+"""Tests for the metrics registry."""
 
 from __future__ import annotations
 
@@ -130,29 +130,33 @@ class TestAbsorb:
 
 
 class TestCompatibilityShims:
-    def test_diskcache_module_attrs_read_the_registry(self):
-        from repro.core import diskcache
-        diskcache.reset_counters()
-        base = diskcache.hits
-        metrics.counter("cache.hits").inc()
-        assert diskcache.hits == base + 1
-        assert diskcache.misses == metrics.counter("cache.misses").value
-        assert diskcache.stores == metrics.counter("cache.stores").value
-        assert diskcache.corrupt == metrics.counter("cache.corrupt").value
+    """The pre-registry module counter globals are gone: callers read
+    the registry, and the modules' reset helpers zero it."""
 
-    def test_sweep_module_attrs_read_the_registry(self):
+    def test_diskcache_reset_counters_zeroes_the_registry(self):
+        from repro.core import diskcache
+        names = ("cache.hits", "cache.misses", "cache.stores",
+                 "cache.corrupt")
+        for name in names:
+            metrics.counter(name).inc()
+        diskcache.reset_counters()
+        assert [metrics.counter(name).value for name in names] \
+            == [0, 0, 0, 0]
+
+    def test_sweep_reset_zeroes_the_registry(self):
         from repro.core import sweep
-        sweep.reset_simulation_counter()
-        assert sweep.simulations == 0
         metrics.counter("sweep.simulations").inc(2)
-        assert sweep.simulations == 2
+        metrics.counter("sweep.quarantines").inc()
         sweep.reset_simulation_counter()
-        assert sweep.simulations == 0
+        assert metrics.counter("sweep.simulations").value == 0
+        assert metrics.counter("sweep.quarantines").value == 0
 
     def test_unknown_module_attr_still_raises(self):
         from repro.core import diskcache, sweep
         import pytest
-        with pytest.raises(AttributeError):
-            diskcache.no_such_counter
-        with pytest.raises(AttributeError):
-            sweep.no_such_counter
+        for module, name in ((diskcache, "hits"), (diskcache, "stores"),
+                             (sweep, "simulations"),
+                             (sweep, "quarantines"),
+                             (diskcache, "no_such_counter")):
+            with pytest.raises(AttributeError):
+                getattr(module, name)

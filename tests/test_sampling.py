@@ -5,6 +5,7 @@ import pytest
 from repro.core.sampling import SampleStats, aggregate, sampled_comparison, \
     t_quantile_975
 from repro.errors import SimulationError
+from repro.obs.metrics import counter
 
 
 class TestAggregate:
@@ -79,15 +80,17 @@ class TestSampledComparison:
         from repro.core import sweep
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
         sweep.clear_result_cache()
         sweep.reset_simulation_counter()
         first = sampled_comparison("nutch", "fdip", n_windows=2,
-                                   window_blocks=2000, parallel=False)
-        assert sweep.simulations == 4  # 2 schemes x 2 windows
+                                   window_blocks=2000)
+        # 2 schemes x 2 windows
+        assert counter("sweep.simulations").value == 4
         sweep.clear_result_cache()
         sweep.reset_simulation_counter()
         second = sampled_comparison("nutch", "fdip", n_windows=2,
-                                    window_blocks=2000, parallel=False)
-        assert sweep.simulations == 0
+                                    window_blocks=2000)
+        assert counter("sweep.simulations").value == 0
         assert second == first
         sweep.clear_result_cache()

@@ -12,7 +12,7 @@ from repro.experiments.spec import RunSpec
 class TestSimulationMeter:
     def test_counts_misses_not_cache_hits(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_PARALLEL", "0")
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
         clear_result_cache()
         spec = RunSpec(workload="nutch", scheme="baseline", n_blocks=2000)
         with simulation_meter() as meter:
@@ -32,7 +32,7 @@ class TestSimulationMeter:
         specs = [RunSpec(workload="nutch", scheme=scheme, n_blocks=2000)
                  for scheme in ("baseline", "ideal")]
         with simulation_meter() as meter:
-            run_specs(specs, parallel=True, max_workers=2)
+            run_specs(specs, backend="process", max_workers=2)
         assert meter.count == 2
         clear_result_cache()
 
@@ -77,7 +77,7 @@ class TestRunSchemes:
         clear_result_cache()
         diskcache.clear()
         parallel = run_schemes("nutch", ("baseline", "ideal"),
-                               n_blocks=3000, parallel=True, max_workers=2)
+                               n_blocks=3000, backend="process", max_workers=2)
         for name in ("baseline", "ideal"):
             assert serial[name].stats == parallel[name].stats
 
@@ -92,7 +92,7 @@ class TestRunSchemes:
         clear_result_cache()
         diskcache.clear()
         parallel = run_schemes("nutch", ("ideal",), n_blocks=3000,
-                               configs=odd, parallel=True)
+                               configs=odd, backend="process")
         assert serial["ideal"].scheme == "ideal"
         assert parallel["ideal"].stats == serial["ideal"].stats
 
@@ -105,11 +105,11 @@ class TestRunGrid:
         clear_result_cache()
         diskcache.clear()
         serial = run_grid(self.WORKLOADS, self.SCHEMES, n_blocks=3000,
-                          parallel=False)
+                          backend="serial")
         clear_result_cache()
         diskcache.clear()
         parallel = run_grid(self.WORKLOADS, self.SCHEMES, n_blocks=3000,
-                            parallel=True, max_workers=2)
+                            backend="process", max_workers=2)
         for workload in self.WORKLOADS:
             for scheme in self.SCHEMES:
                 assert serial[workload][scheme].stats \
@@ -118,7 +118,7 @@ class TestRunGrid:
     def test_grid_shape(self):
         clear_result_cache()
         grid = run_grid(self.WORKLOADS, self.SCHEMES, n_blocks=3000,
-                        parallel=False)
+                        backend="serial")
         assert set(grid) == set(self.WORKLOADS)
         for workload in self.WORKLOADS:
             assert set(grid[workload]) == set(self.SCHEMES)
@@ -129,7 +129,7 @@ class TestRunGrid:
             "shotgun_32": SchemeConfig(name="shotgun", footprint_bits=32),
         }
         grid = run_grid(("nutch",), ("baseline", "shotgun_32"),
-                        n_blocks=3000, configs=configs, parallel=False)
+                        n_blocks=3000, configs=configs, backend="serial")
         assert set(grid["nutch"]) == {"baseline", "shotgun_32"}
         # The variant config really took effect: it differs from the
         # default-config shotgun run.
@@ -138,11 +138,11 @@ class TestRunGrid:
 
     def test_unknown_non_string_label_rejected(self):
         with pytest.raises(TypeError):
-            run_grid(("nutch",), (128,), n_blocks=3000, parallel=False)
+            run_grid(("nutch",), (128,), n_blocks=3000, backend="serial")
 
     def test_grid_populates_memo_for_run_scheme(self):
         clear_result_cache()
         grid = run_grid(("nutch",), ("baseline",), n_blocks=3000,
-                        parallel=False)
+                        backend="serial")
         assert run_scheme("nutch", "baseline", n_blocks=3000) \
             is grid["nutch"]["baseline"]
