@@ -9,9 +9,10 @@ field by field on exact value *and* type — a 1-ULP drift or a stray
 ``np.float64`` leaking into the (JSON-cached) stats fails here.
 
 The golden suite runs its baseline/ideal cells on the columnar core
-through the dispatch; figures 1 and 7 re-run here with the columnar
-core switched off against the same pinned snapshots, so the no-drift /
-no-``ENGINE_VERSION``-bump contract covers both cores end to end.
+through the dispatch; figures 1 and 7 re-run here once checking that the
+columnar core really ran and once with it switched off, against the same
+pinned snapshots, so the no-drift / no-``ENGINE_VERSION``-bump contract
+covers both cores end to end.
 """
 
 from __future__ import annotations
@@ -182,6 +183,44 @@ class TestKeyAndFingerprintNeutrality:
                 for name in filenames if name.endswith(".py"))
         assert os.path.join("core", "engine_columnar.py") in seen
         assert os.path.join("core", "engine_select.py") in seen
+
+
+class TestGoldenUnderColumnar:
+    """The pinned golden snapshots hold with eligible cells replayed on
+    the columnar core (run-ahead cells falling back), and the columnar
+    core really runs for them — dispatch changes no figure and needs no
+    ``ENGINE_VERSION`` bump."""
+
+    @pytest.fixture()
+    def columnar_calls(self, tmp_path, monkeypatch):
+        calls = []
+        real = engine_columnar.simulate_columnar
+
+        def _counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        # Serial, so the patch below sees every cell.
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        monkeypatch.setattr(engine_columnar, "simulate_columnar",
+                            _counting)
+        clear_result_cache()
+        yield calls
+        clear_result_cache()
+
+    @pytest.mark.parametrize("experiment_id", ["figure1", "figure7"])
+    def test_golden_snapshot_under_columnar(self, experiment_id,
+                                            columnar_calls):
+        from tests.test_golden_figures import compute_snapshot, \
+            golden_path
+        path = golden_path(experiment_id)
+        if not os.path.exists(path):
+            pytest.skip(f"no golden snapshot for {experiment_id}")
+        with open(path, "r", encoding="utf-8") as handle:
+            pinned = json.load(handle)
+        assert compute_snapshot(experiment_id) == pinned
+        assert columnar_calls, "no cell ran on the columnar core"
 
 
 class TestGoldenUnderInterpreter:
